@@ -8,7 +8,7 @@ Subcommands
     presentation    emit (and verify, when possible) a surface presentation
 
 Exit codes: 0 all checks pass, 1 at least one identity failed,
-2 usage or validation error.
+2 usage or validation error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from fractions import Fraction
 
 from .freealg import Generator, NCPolynomial, iterated_bracket, q_bracket, zab, zgen
@@ -28,6 +29,13 @@ from .scalar import V, is_prime_power
 from .surface import (FoliationData, GradedChord, MarkedDisk, boundary_skein,
                       crossing, load_config, self_skein, skein_commutator,
                       standard_form)
+
+
+EXIT_CODES = """exit codes:
+  0  every identity holds
+  1  at least one identity failed
+  2  usage or validation error
+  3  internal error (an unexpected exception)"""
 
 
 class UsageError(Exception):
@@ -54,7 +62,8 @@ def _parse_qs(text: str):
             raise UsageError(f"bad q value {part!r}")
         if q < 2 or not is_prime_power(q):
             raise UsageError(f"q = {q} is not a prime power >= 2")
-        out.append(q)
+        if q not in out:
+            out.append(q)
     return out
 
 
@@ -213,7 +222,10 @@ def _parse_expr(text: str, m: int) -> NCPolynomial:
             if fam != "z":
                 raise UsageError(f"unknown generator family {fam!r}; use z[i,n]")
             if a is not None:
-                out = out * zab(int(a), int(b), int(n), m)
+                try:
+                    out = out * zab(int(a), int(b), int(n), m)
+                except ValueError as ex:
+                    raise UsageError(str(ex))
             else:
                 idx = int(i)
                 if not 1 <= idx < m:
@@ -306,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="diskhall",
         description="Exact verification of shifted-generator relation families "
-                    "in derived Hall algebras of type-A quivers.")
+                    "in derived Hall algebras of type-A quivers.",
+        epilog=EXIT_CODES, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-quiver", help="(H1)-(H3) relation suite")
@@ -367,6 +380,10 @@ def main(argv=None) -> int:
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except Exception as ex:
+        traceback.print_exc()
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,14 +1,20 @@
 """The derived Hall algebra at a fixed prime power q.
 
-Basis elements are isomorphism classes of derived objects.  The
-structure constant attached to a triple (X, Y, L) is
+Basis elements are isomorphism classes of derived objects.  A product
+[X].[Y] is computed from one sweep over Hom(Y[-1], X): each morphism w
+completes to a triangle Y[-1] -> X -> L, and counting N_L, the morphisms
+whose cone is isomorphic to L, gives every structure constant by the
+derived Riedtmann formula (Toen, Derived Hall algebras, Duke 2006;
+Xiao-Xu, Hall algebras associated to triangulated categories, Duke 2008)
 
-    F^L_{X,Y} = |Hom(X,L)_Y| / |Aut(X)| * {X,L} / {X,X}
+    F^L_{X,Y} = N_L a(L) / (a(X) a(Y) |Hom(Y,X)| {Y,X}),   a(Z) = |Aut Z| {Z,Z}
 
-where Hom(X,L)_Y is the set of morphism classes f : X -> L whose cone is
-isomorphic to Y, and {A,B} is the alternating product of the orders of
-the negative-degree Hom spaces.  The twisted product rescales by the
-Euler pairing:  [X]*[Y] = q^{<Y,X>/2} [X].[Y].
+where {A,B} is the alternating product of the orders of the
+negative-degree Hom spaces and |Aut Z| has a closed form
+(``DerivedCategory.aut_count``).  The two-sweep route it replaces, which
+counts the morphisms X -> L with cone Y and enumerates End(X), is kept in
+``tests/hall_oracle.py`` as a test oracle.  The twisted product rescales
+by the Euler pairing:  [X]*[Y] = q^{<Y,X>/2} [X].[Y].
 
 Free-algebra expressions are evaluated here by sending each generator
 to a basis class and each Q(v) coefficient to Q(sqrt(q)).
@@ -140,15 +146,13 @@ class HallAlgebra:
         return Fraction(self.q) ** exponent
 
     def structure_constant(self, X: DerivedObject, Y: DerivedObject,
-                           L: DerivedObject) -> Fraction:
-        count = 0
-        for f in self.category.enumerate_dhoms(X, L):
-            if self.category.cone(f) == Y:
-                count += 1
-        if count == 0:
-            return Fraction(0)
-        return (Fraction(count, self.category.aut_count(X))
-                * self.braces(X, L) / self.braces(X, X))
+                           L: DerivedObject, count: int) -> Fraction:
+        """F^L_{X,Y} from count = #{w in Hom(Y[-1], X) : cone(w) = L}."""
+        def a(Z):
+            return self.category.aut_count(Z) * self.braces(Z, Z)
+
+        hom_yx = self.category.dhom_dims(Y, X).get(0, 0)
+        return count * a(L) / (a(X) * a(Y) * self.q ** hom_yx * self.braces(Y, X))
 
     # -- products ------------------------------------------------------------
 
@@ -158,15 +162,15 @@ class HallAlgebra:
         if cached is not None:
             return cached
         twist = QuadraticScalar.sqrt_q_power(self.q, self.category.euler_form(Y, X))
-        # candidate cones L: rotate the triangle Y[-1] -> X -> L
-        candidates = set()
+        # one sweep: count the cones L of the triangles Y[-1] -> X -> L
+        counts: Dict[DerivedObject, int] = {}
         for w in self.category.enumerate_dhoms(Y.shifted(-1), X):
-            candidates.add(self.category.cone(w))
+            L = self.category.cone(w)
+            counts[L] = counts.get(L, 0) + 1
         out: Dict[DerivedObject, QuadraticScalar] = {}
-        for L in sorted(candidates, key=lambda o: o.summands):
-            c = self.structure_constant(X, Y, L)
-            if c:
-                out[L] = twist * QuadraticScalar(self.q, c)
+        for L in sorted(counts, key=lambda o: o.summands):
+            c = self.structure_constant(X, Y, L, counts[L])
+            out[L] = twist * QuadraticScalar(self.q, c)
         self._product_cache[key] = out
         return out
 

@@ -9,9 +9,10 @@ Everything is computed honestly over F_q:
 * ``barcode`` -- Krull-Schmidt decomposition into interval modules by
   rank inclusion-exclusion of composite arrow maps.
 * ``DerivedObject`` -- a multiset of shifted intervals (a, b, n); derived
-  Hom spaces, cones and automorphism counts are computed on 2-term
-  complexes of projectives, where every Hom(P_i, P_j) with j <= i is one
-  dimensional and composition is multiplication of scalars.
+  Hom spaces and cones are computed on 2-term complexes of projectives,
+  where every Hom(P_i, P_j) with j <= i is one dimensional and composition
+  is multiplication of scalars.  Automorphism counts follow in closed form
+  from dim End.
 
 Objects are identified up to isomorphism by taking homology degreewise
 (the category is hereditary) and barcoding it.
@@ -20,7 +21,9 @@ Objects are identified up to isomorphism by taking homology degreewise
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalar import prime_power_decompose
@@ -29,7 +32,8 @@ from .scalar import prime_power_decompose
 # finite fields
 # ---------------------------------------------------------------------------
 
-#: default irreducible moduli (coefficient tuples, low degree first, monic)
+#: default irreducible moduli (coefficient tuples, low degree first, monic);
+#: any other q uses the first irreducible modulus found by search
 _DEFAULT_MODULI = {
     4: (1, 1, 1),        # x^2 + x + 1 over F_2
     8: (1, 1, 0, 1),     # x^3 + x + 1 over F_2
@@ -56,15 +60,13 @@ class FiniteField:
         if self.k == 1:
             self.modulus = None
         else:
-            modulus = modulus or _DEFAULT_MODULI.get(q)
-            if modulus is None:
-                raise ValueError(f"an irreducible modulus is required for q = {q}")
+            modulus = modulus or _DEFAULT_MODULI.get(q) or self._first_irreducible()
             modulus = tuple(c % self.p for c in modulus)
             if len(modulus) != self.k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
-            self.modulus = modulus
-            if not self._modulus_irreducible():
+            if not self._modulus_irreducible(modulus):
                 raise ValueError("modulus is reducible")
+            self.modulus = modulus
         self._inv = {}
 
     # polynomial encoding helpers -------------------------------------------
@@ -82,14 +84,22 @@ class FiniteField:
             out = out * self.p + (d % self.p)
         return out
 
-    def _modulus_irreducible(self) -> bool:
-        # brute-force: no monic factor of degree 1..k-1 divides the modulus
-        for deg in range(1, self.k):
+    def _modulus_irreducible(self, modulus: Tuple[int, ...]) -> bool:
+        # brute-force: no monic factor of degree 1..k/2 divides the modulus
+        for deg in range(1, self.k // 2 + 1):
             for tail in itertools.product(range(self.p), repeat=deg):
                 divisor = list(tail) + [1]
-                if not self._polmod(list(self.modulus), divisor):
+                if not self._polmod(list(modulus), divisor):
                     return False
         return True
+
+    def _first_irreducible(self) -> Tuple[int, ...]:
+        """The irreducible monic degree-k modulus whose lower coefficients,
+        read as base-p digits, form the smallest number."""
+        for code in range(self.p ** self.k):
+            modulus = tuple(self._digits(code)) + (1,)
+            if self._modulus_irreducible(modulus):
+                return modulus
 
     def _polmod(self, a: List[int], b: List[int]) -> List[int]:
         a = [c % self.p for c in a]
@@ -854,58 +864,26 @@ class DerivedCategory:
         return self.identify(_PComplex(self.m, labels, diff))
 
     def aut_count(self, X: DerivedObject) -> int:
-        """Number of invertible endomorphism classes of X."""
+        """|Aut X| in closed form.
+
+        Every indecomposable has endomorphism ring F_q, so End(X) modulo its
+        radical is the product of the matrix rings M_mult(F_q) over the
+        distinct summands, and
+
+            |Aut X| = q^{dim End X} prod_summands prod_{j=1}^{mult} (1 - q^{-j}).
+        """
         key = X.summands
         cached = self._aut_cache.get(key)
-        if cached is not None:
-            return cached
-        if X.is_zero():
-            self._aut_cache[key] = 1
-            return 1
-        F = self.field
-        endos = self.enumerate_dhoms(X, X)
-        cx = self.complex_of(X)
-        hdata = self._homology_data(cx)
-        count = 0
-        for f in endos:
-            if self._induces_iso(cx, hdata, f):
-                count += 1
-        self._aut_cache[key] = count
-        return count
-
-    def _induces_iso(self, c: _PComplex, hdata, f: DMorphism) -> bool:
-        """Does the endo-chain-map act invertibly on homology everywhere?"""
-        F = self.field
-        for d in c.degrees():
-            src = c.at(d)
-            fm = f.maps.get(d)
-            for v in range(1, self.m):
-                pv = hdata[d][v - 1]
-                hdim = len(pv["hbasis"])
-                if hdim == 0:
-                    continue
-                cols_here = pv["cols"]
-                basis_mat = columns(pv["image"] + pv["hbasis"])
-                induced = zeros(hdim, hdim)
-                for bidx, x in enumerate(pv["hbasis"]):
-                    # y = f(x) in coordinates at (d, v)
-                    y = [0] * len(cols_here)
-                    for out_pos, i in enumerate(cols_here):
-                        acc = 0
-                        for in_pos, j in enumerate(cols_here):
-                            a = fm[i][j] if fm else 0
-                            if a and x[in_pos]:
-                                acc = F.add(acc, F.mul(a, x[in_pos]))
-                        y[out_pos] = acc
-                    sol = solve(F, basis_mat, y)
-                    if sol is None:
-                        raise ArithmeticError("endomorphism transfer failed")
-                    nimg = len(pv["image"])
-                    for i in range(hdim):
-                        induced[i][bidx] = sol[nimg + i]
-                if mat_rank(F, induced) != hdim:
-                    return False
-        return True
+        if cached is None:
+            q = self.field.q
+            count = Fraction(q) ** self.dhom_dims(X, X).get(0, 0)
+            for mult in Counter(key).values():
+                for j in range(1, mult + 1):
+                    count *= 1 - Fraction(1, q ** j)
+            if count.denominator != 1:
+                raise ArithmeticError(f"non-integral automorphism count {count}")
+            cached = self._aut_cache[key] = int(count)
+        return cached
 
     # -- conversions ---------------------------------------------------------
 

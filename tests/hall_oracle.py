@@ -1,0 +1,79 @@
+"""The two-sweep route to Hall structure constants, kept as a test oracle.
+
+The package computes every F^L_{X,Y} of a product from one sweep over
+Hom(Y[-1], X) by the derived Riedtmann formula, and counts automorphisms
+in closed form.  This module keeps the route those replaced:
+
+    F^L_{X,Y} = |Hom(X,L)_Y| / |Aut(X)| * {X,L} / {X,X}
+
+where Hom(X,L)_Y is the set of morphism classes f : X -> L whose cone is
+isomorphic to Y, and |Aut(X)| is found by enumerating End(X) and keeping
+the endomorphisms that act invertibly on homology in every degree and at
+every vertex.  Both counts enumerate Hom sets, so they are only practical
+on small objects.
+"""
+
+from fractions import Fraction
+
+from diskhall.repq import columns, mat_rank, solve, zeros
+
+
+def aut_count(cat, X) -> int:
+    """Number of invertible endomorphism classes of X, by enumeration."""
+    if X.is_zero():
+        return 1
+    cx = cat.complex_of(X)
+    hdata = cat._homology_data(cx)
+    solved = {}
+    return sum(1 for f in cat.enumerate_dhoms(X, X)
+               if _induces_iso(cat, cx, hdata, f, solved))
+
+
+def _induces_iso(cat, c, hdata, f, solved) -> bool:
+    """Does the endo-chain-map act invertibly on homology everywhere?
+
+    ``solved`` memoizes the homology coordinates of each image vector per
+    (degree, vertex); the transfer is the same for every endomorphism.
+    """
+    F = cat.field
+    for d in c.degrees():
+        fm = f.maps.get(d)
+        for v in range(1, cat.m):
+            pv = hdata[d][v - 1]
+            hdim = len(pv["hbasis"])
+            if hdim == 0:
+                continue
+            cols_here = pv["cols"]
+            basis_mat = columns(pv["image"] + pv["hbasis"])
+            induced = zeros(hdim, hdim)
+            for bidx, x in enumerate(pv["hbasis"]):
+                # y = f(x) in coordinates at (d, v)
+                y = [0] * len(cols_here)
+                for out_pos, i in enumerate(cols_here):
+                    acc = 0
+                    for in_pos, j in enumerate(cols_here):
+                        a = fm[i][j] if fm else 0
+                        if a and x[in_pos]:
+                            acc = F.add(acc, F.mul(a, x[in_pos]))
+                    y[out_pos] = acc
+                key = (d, v, tuple(y))
+                sol = solved.get(key)
+                if sol is None:
+                    sol = solved[key] = solve(F, basis_mat, y)
+                if sol is None:
+                    raise ArithmeticError("endomorphism transfer failed")
+                nimg = len(pv["image"])
+                for i in range(hdim):
+                    induced[i][bidx] = sol[nimg + i]
+            if mat_rank(F, induced) != hdim:
+                return False
+    return True
+
+
+def structure_constant(alg, X, Y, L) -> Fraction:
+    """F^L_{X,Y} by counting the morphisms X -> L whose cone is Y."""
+    cat = alg.category
+    count = sum(1 for f in cat.enumerate_dhoms(X, L) if cat.cone(f) == Y)
+    if count == 0:
+        return Fraction(0)
+    return Fraction(count, aut_count(cat, X)) * alg.braces(X, L) / alg.braces(X, X)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from diskhall import cli
 from diskhall.cli import main
 
 
@@ -106,3 +107,45 @@ def test_presentation_bad_config(tmp_path, capsys):
     assert run(capsys, "presentation", str(cfg))[0] == 2
     missing = tmp_path / "missing.json"
     assert run(capsys, "presentation", str(missing))[0] == 2
+
+
+def test_field_without_default_modulus(capsys):
+    code, out, _ = run(capsys, "verify-quiver", "--m", "3", "--shifts", "0..0",
+                       "--q", "16")
+    assert code == 0
+    assert "2/2 passed (q=16)" in out
+
+
+def test_repeated_q_values_are_verified_once(capsys):
+    code, out, _ = run(capsys, "verify-quiver", "--m", "3", "--shifts", "0..0",
+                       "--q", "3,2,3,2", "--format", "json")
+    report = json.loads(out)["reports"][0]
+    assert code == 0
+    assert report["q"] == [3, 2]
+    assert report["total"] == 4
+
+
+def test_bad_arc_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "multiply", "z[(1,5),0]", "z[1,0]", "--m", "3")
+    assert code == 2
+    assert "1 <= a < b <= m" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify_quiver", broken)
+    code, out, err = run(capsys, "verify-quiver", "--m", "3", "--q", "2")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert err.endswith("\ninternal error: RuntimeError: boom\n")
+
+
+def test_help_documents_exit_codes(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for code in "0123":
+        assert f"\n  {code}  " in out
