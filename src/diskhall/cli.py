@@ -114,23 +114,23 @@ def cmd_verify_quiver(args) -> int:
     if args.m < 2:
         raise UsageError(f"need m >= 2 for the quiver suite, got m = {args.m}")
     rs = quiver_relations(args.m, args.shifts)
-    rep = verify_relation_set(rs, args.q, jobs=args.jobs)
+    rep = verify_relation_set(rs, args.q)
     return _finish(_report_payload("verify-quiver", [rep]), args)
 
 
 def cmd_verify_disk(args) -> int:
     if args.h is None:
         raise UsageError("verify-disk requires --h")
+    if args.m < 3:  # in a bigon E_1, E_2 are shifts of one z_1; (R2) does not apply
+        raise UsageError(f"need m >= 3 for a marked disk, got m = {args.m}")
     if len(args.h) != args.m or sum(args.h) != args.m - 2:
         raise UsageError(
             f"foliation data must have m = {args.m} entries with sum m - 2 = "
             f"{args.m - 2}; got {list(args.h)} (sum {sum(args.h)})")
     disk = MarkedDisk(FoliationData(args.m, args.h))
-    reports = [verify_relation_set(minimal_disk_relations(disk, args.shifts),
-                                   args.q, jobs=args.jobs)]
+    reports = [verify_relation_set(minimal_disk_relations(disk, args.shifts), args.q)]
     for i in range(1, args.m + 1):
-        reports.append(verify_relation_set(cyclic_family(disk, i), args.q,
-                                           jobs=args.jobs))
+        reports.append(verify_relation_set(cyclic_family(disk, i), args.q))
     return _finish(_report_payload("verify-disk", reports), args)
 
 
@@ -199,11 +199,9 @@ def _chord_skein_set(m: int, window=(-2, 3)):
 
 
 def cmd_verify_skein(args) -> int:
-    reports = [verify_relation_set(_local_skein_relations(args.shifts), args.q,
-                                   jobs=args.jobs)]
+    reports = [verify_relation_set(_local_skein_relations(args.shifts), args.q)]
     for m in (4, 5):
-        reports.append(verify_relation_set(_chord_skein_set(m, args.shifts),
-                                           args.q, jobs=args.jobs))
+        reports.append(verify_relation_set(_chord_skein_set(m, args.shifts), args.q))
     return _finish(_report_payload("verify-skein", reports), args)
 
 
@@ -278,7 +276,7 @@ def cmd_presentation(args) -> int:
     payload = {"schema": 1, "command": "presentation", "status": "pass",
                "presentation": rs.to_dict(), "reports": []}
     if rs.verifiable and not args.emit_only:
-        rep = verify_relation_set(rs, args.q, jobs=args.jobs)
+        rep = verify_relation_set(rs, args.q)
         payload["reports"] = [rep]
         if not rep["passed"]:
             payload["status"] = "fail"
@@ -311,7 +309,8 @@ def _add_common(p, with_m=True):
                    help="shift window lo..hi (default -2..3)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=str, default=None, help="write report to a file")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="reserved: accepted for compatibility, runs serially")
 
 
 def build_parser() -> argparse.ArgumentParser:

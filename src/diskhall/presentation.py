@@ -10,7 +10,6 @@ through the Hall-algebra oracle with ``verify_relation_set``.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -596,8 +595,7 @@ def shared_algebra(m: int, q: int) -> HallAlgebra:
     return _ALGEBRAS[key]
 
 
-def verify_relation_set(rs: RelationSet, q_list: Sequence[int] = (2, 3),
-                        jobs: int = 1) -> dict:
+def verify_relation_set(rs: RelationSet, q_list: Sequence[int] = (2, 3)) -> dict:
     """Evaluate every relation at every q; aggregate an exact report."""
     if not rs.verifiable:
         raise ValueError(f"relation set {rs.name!r} is emission-only and "
@@ -609,17 +607,11 @@ def verify_relation_set(rs: RelationSet, q_list: Sequence[int] = (2, 3),
     expanded = [(r.label, expand(r.lhs), expand(r.rhs)) for r in rs.relations]
     assign = simples_assignment(rs.oracle_m)
 
-    def run_q(q: int):
+    results = []
+    for q in q_list:
         alg = shared_algebra(rs.oracle_m, q)
-        return [dict(alg.verify_identity(lhs, rhs, assign, label), q=q)
-                for label, lhs, rhs in expanded]
-
-    if jobs > 1 and len(q_list) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_q = list(pool.map(run_q, q_list))
-    else:
-        per_q = [run_q(q) for q in q_list]
-    results = [row for rows in per_q for row in rows]
+        results += [dict(alg.verify_identity(lhs, rhs, assign, label), q=q)
+                    for label, lhs, rhs in expanded]
     failed = [r for r in results if not r["passed"]]
     return {
         "name": rs.name,

@@ -3,6 +3,10 @@
 The quiver is A_{m-1}: vertices 1..m-1, arrows i -> i+1 (fixed orientation).
 Everything is computed honestly over F_q:
 
+* ``FiniteField`` -- arithmetic by lookup in ``add_t[x][y]``,
+  ``mul_t[x][y]``, ``neg_t`` and ``inv_t``, each entry computed on first
+  use; ``rref`` and the Hom/cone kernels index rows instead of calling
+  methods.
 * ``QuiverRep`` -- vertex vector spaces + arrow matrices; Hom spaces via
   commuting-square linear systems, Ext^1 via the 2-term projective
   resolution 0 -> P_b -> P_a -> M[a,b) -> 0 with P_i = M[i,m).
@@ -20,6 +24,7 @@ Objects are identified up to isomorphism by taking homology degreewise
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -43,12 +48,30 @@ _DEFAULT_MODULI = {
 }
 
 
+class _Lazy(dict):
+    """A lookup table whose entry for ``x`` is ``fn(x)``, computed on first use."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(x)
+        return value
+
+
 class FiniteField:
     """F_q with q = p^k.  Elements are integers 0..q-1.
 
-    For k > 1 an element encodes a polynomial over F_p in base-p digits
-    and arithmetic is performed modulo an irreducible ``modulus``
-    (coefficient tuple, low degree first, leading coefficient 1).
+    For k > 1 an element encodes a polynomial over F_p in base-p digits,
+    multiplied modulo an irreducible ``modulus`` (coefficient tuple, low
+    degree first, leading coefficient 1).
+
+    Arithmetic is by lookup: ``add_t[x][y] = x + y``, ``mul_t[x][y] = x y``,
+    ``neg_t[x]`` and ``inv_t[x]``.  Kernels fetch the row of a fixed factor
+    once and index it per entry.  Every entry is computed on its first
+    lookup, so memory follows use: over a large field each cone may bring a
+    new scalar, and whole rows of q entries would cost O(q^2).
     """
 
     def __init__(self, q: int, modulus: Optional[Tuple[int, ...]] = None):
@@ -67,22 +90,18 @@ class FiniteField:
             if not self._modulus_irreducible(modulus):
                 raise ValueError("modulus is reducible")
             self.modulus = modulus
-        self._inv = {}
+        self.add_t = _Lazy(lambda x: _Lazy(functools.partial(self._add, x)))
+        self.mul_t = _Lazy(lambda x: _Lazy(functools.partial(self._mul, x)))
+        self.neg_t = _Lazy(lambda x: self._undigits([-a for a in self._digits(x)]))
+        self.inv_t = _Lazy(self._inverse)
 
     # polynomial encoding helpers -------------------------------------------
 
     def _digits(self, x: int) -> List[int]:
-        out = []
-        for _ in range(self.k):
-            x, r = divmod(x, self.p)
-            out.append(r)
-        return out
+        return [x // self.p ** i % self.p for i in range(self.k)]
 
     def _undigits(self, ds: Sequence[int]) -> int:
-        out = 0
-        for d in reversed(ds):
-            out = out * self.p + (d % self.p)
-        return out
+        return sum(d % self.p * self.p ** i for i, d in enumerate(ds))
 
     def _modulus_irreducible(self, modulus: Tuple[int, ...]) -> bool:
         # brute-force: no monic factor of degree 1..k/2 divides the modulus
@@ -102,63 +121,59 @@ class FiniteField:
                 return modulus
 
     def _polmod(self, a: List[int], b: List[int]) -> List[int]:
+        """Remainder of ``a`` modulo the monic ``b`` (coefficients, low first)."""
         a = [c % self.p for c in a]
-        while len(a) >= len(b) and any(a):
-            while a and a[-1] % self.p == 0:
-                a.pop()
-            if len(a) < len(b):
-                break
-            c = a[-1] * pow(b[-1], -1, self.p) % self.p
-            off = len(a) - len(b)
-            for i, cb in enumerate(b):
-                a[i + off] = (a[i + off] - c * cb) % self.p
-        while a and a[-1] % self.p == 0:
-            a.pop()
+        while a and (a[-1] == 0 or len(a) >= len(b)):
+            c = a.pop()  # a zero, or the leading term cancelled by c x^off b
+            if c:
+                off = len(a) + 1 - len(b)
+                for i, cb in enumerate(b[:-1]):
+                    a[off + i] = (a[off + i] - c * cb) % self.p
         return a
 
-    # field operations ------------------------------------------------------
+    # arithmetic that fills the lookup tables -------------------------------
+
+    def _add(self, x: int, y: int) -> int:
+        return self._undigits([a + b for a, b in zip(self._digits(x), self._digits(y))])
+
+    def _mul(self, x: int, y: int) -> int:
+        if self.k == 1:
+            return x * y % self.p
+        prod = [0] * (2 * self.k - 1)
+        for i, a in enumerate(self._digits(x)):
+            for j, b in enumerate(self._digits(y)):
+                prod[i + j] += a * b
+        return self._undigits(self._polmod(prod, list(self.modulus)))
+
+    def _inverse(self, x: int) -> int:
+        if x == 0:
+            raise ZeroDivisionError("inverse of zero")
+        out, e = 1, self.q - 2  # x^(q-2) by square-and-multiply
+        while e:
+            if e & 1:
+                out = self._mul(out, x)
+            x, e = self._mul(x, x), e >> 1
+        return out
+
+    # field operations, one lookup each ---------------------------------------
 
     def elements(self):
         return range(self.q)
 
     def add(self, x: int, y: int) -> int:
-        if self.k == 1:
-            return (x + y) % self.p
-        return self._undigits([a + b for a, b in zip(self._digits(x), self._digits(y))])
+        return self.add_t[x][y]
 
     def neg(self, x: int) -> int:
-        if self.k == 1:
-            return (-x) % self.p
-        return self._undigits([-a for a in self._digits(x)])
+        return self.neg_t[x]
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return self.add_t[x][self.neg_t[y]]
 
     def mul(self, x: int, y: int) -> int:
-        if self.k == 1:
-            return (x * y) % self.p
-        dx, dy = self._digits(x), self._digits(y)
-        prod = [0] * (2 * self.k - 1)
-        for i, a in enumerate(dx):
-            if a:
-                for j, b in enumerate(dy):
-                    prod[i + j] += a * b
-        rem = self._polmod(prod, list(self.modulus))
-        return self._undigits(rem + [0] * (self.k - len(rem)))
+        return self.mul_t[x][y]
 
     def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.k == 1:
-            return pow(x, -1, self.p)
-        cached = self._inv.get(x)
-        if cached is None:
-            for y in range(1, self.q):  # q is tiny
-                if self.mul(x, y) == 1:
-                    cached = y
-                    break
-            self._inv[x] = cached
-        return cached
+        return self.inv_t[x]
 
     def __repr__(self):
         return f"FiniteField({self.q})"
@@ -180,29 +195,13 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(F: FiniteField, A: Matrix, B: Matrix) -> Matrix:
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        Ai = A[i]
-        for t in range(inner):
-            a = Ai[t]
+    add_t, mul_t = F.add_t, F.mul_t
+    out = zeros(len(A), len(B[0]) if B else 0)
+    for Ai, oi in zip(A, out):
+        for a, Bt in zip(Ai, B):
             if a:
-                Bt = B[t]
-                oi = out[i]
-                for j in range(cols):
-                    if Bt[j]:
-                        oi[j] = F.add(oi[j], F.mul(a, Bt[j]))
-    return out
-
-
-def mat_vec(F: FiniteField, A: Matrix, x: Sequence[int]) -> List[int]:
-    out = [0] * len(A)
-    for i, row in enumerate(A):
-        acc = 0
-        for a, b in zip(row, x):
-            if a and b:
-                acc = F.add(acc, F.mul(a, b))
-        out[i] = acc
+                ma = mul_t[a]
+                oi[:] = [add_t[x][ma[y]] for x, y in zip(oi, Bt)]
     return out
 
 
@@ -211,6 +210,7 @@ def rref(F: FiniteField, M: Matrix) -> Tuple[Matrix, List[int]]:
     R = [row[:] for row in M]
     rows = len(R)
     cols = len(R[0]) if rows else 0
+    add_t, mul_t, neg_t, inv_t = F.add_t, F.mul_t, F.neg_t, F.inv_t
     pivots: List[int] = []
     r = 0
     for c in range(cols):
@@ -218,12 +218,13 @@ def rref(F: FiniteField, M: Matrix) -> Tuple[Matrix, List[int]]:
         if pivot is None:
             continue
         R[r], R[pivot] = R[pivot], R[r]
-        inv = F.inv(R[r][c])
-        R[r] = [F.mul(inv, x) for x in R[r]]
+        mi = mul_t[inv_t[R[r][c]]]
+        Rr = R[r] = [mi[x] for x in R[r]]
         for i in range(rows):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[i], R[r])]
+            f = R[i][c]
+            if f and i != r:
+                mf = mul_t[neg_t[f]]
+                R[i] = [add_t[x][mf[y]] for x, y in zip(R[i], Rr)]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -250,7 +251,7 @@ def nullspace(F: FiniteField, M: Matrix, cols: Optional[int] = None) -> List[Lis
         v = [0] * cols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = F.neg(R[r][fc])
+            v[pc] = F.neg_t[R[r][fc]]
         basis.append(v)
     return basis
 
@@ -471,26 +472,16 @@ def ext1_space(M: QuiverRep, N: QuiverRep, representatives: bool = False):
 
 def barcode(M: QuiverRep) -> Tuple[Tuple[int, int], ...]:
     """Multiset of intervals (a, b) in the decomposition of M, sorted."""
-    F = M.field
-    nv = M.m - 1
-
-    composite: Dict[Tuple[int, int], Matrix] = {}
-
-    def comp(i: int, j: int) -> Matrix:
-        # composite arrow map vertex i -> vertex j, 1 <= i <= j <= m-1
-        if (i, j) not in composite:
-            if i == j:
-                composite[(i, j)] = identity(M.dims[i - 1])
-            else:
-                composite[(i, j)] = mat_mul(F, M.maps[j - 2], comp(i, j - 1))
-        return composite[(i, j)]
+    ranks: Dict[Tuple[int, int], int] = {}  # (i, j): rank of vertex i -> vertex j
+    for i in range(1, M.m):
+        comp = identity(M.dims[i - 1])
+        ranks[i, i] = M.dims[i - 1]
+        for j in range(i + 1, M.m):
+            comp = mat_mul(M.field, M.maps[j - 2], comp)
+            ranks[i, j] = mat_rank(M.field, comp)
 
     def rank(i: int, j: int) -> int:
-        if i < 1 or j > nv or i > j:
-            return 0
-        if i == j:
-            return M.dims[i - 1]
-        return mat_rank(F, comp(i, j))
+        return ranks.get((i, j), 0)  # zero outside 1 <= i <= j <= m-1
 
     out: List[Tuple[int, int]] = []
     for a in range(1, M.m):
@@ -657,7 +648,7 @@ class DerivedCategory:
     def _delta(self, cx: _PComplex, cy: _PComplex, n: int,
                vars_n, vars_n1) -> Matrix:
         """Matrix of the Hom-complex differential delta_n = dY f - (-1)^n f dX."""
-        F = self.field
+        add_t, neg_t = self.field.add_t, self.field.neg_t
         index_n = {v: c for c, v in enumerate(vars_n)}
         D = zeros(len(vars_n1), len(vars_n))
         sign_neg = (n % 2 == 0)  # -(-1)^n: subtract when n even
@@ -669,14 +660,14 @@ class DerivedCategory:
                 if a:
                     c = index_n.get((d, t, j))
                     if c is not None:
-                        D[r][c] = F.add(D[r][c], a)
+                        D[r][c] = add_t[D[r][c]][a]
             dx = cx.dmat(d)          # X^d -> X^{d+1}
             for s in range(len(cx.at(d + 1))):
                 a = dx[s][j] if dx else 0
                 if a:
                     c = index_n.get((d + 1, i, s))
                     if c is not None:
-                        D[r][c] = F.sub(D[r][c], a) if sign_neg else F.add(D[r][c], a)
+                        D[r][c] = add_t[D[r][c]][neg_t[a] if sign_neg else a]
         return D
 
     def _hom_degree_dim(self, cx: _PComplex, cy: _PComplex, n: int) -> int:
@@ -739,13 +730,12 @@ class DerivedCategory:
         picked = column_space_extension(F, columns(image), columns(cocycles))
         reps = [cocycles[i] for i in picked]
         out = []
+        add_t, mul_t = F.add_t, F.mul_t
         for coeffs in itertools.product(F.elements(), repeat=len(reps)):
             vec = [0] * len(v0)
             for c, rep in zip(coeffs, reps):
                 if c:
-                    for t in range(len(v0)):
-                        if rep[t]:
-                            vec[t] = F.add(vec[t], F.mul(c, rep[t]))
+                    vec = [add_t[x][mul_t[r][c]] for x, r in zip(vec, rep)]
             out.append(to_morphism(vec))
         return out
 
@@ -837,7 +827,7 @@ class DerivedCategory:
         for d in sorted(degs):
             labels[d] = list(cx.at(d + 1)) + list(cy.at(d))
         diff: Dict[int, Matrix] = {}
-        F = self.field
+        neg_t = self.field.neg_t
         for d in sorted(degs):
             src_x, src_y = cx.at(d + 1), cy.at(d)
             dst_x, dst_y = cx.at(d + 2), cy.at(d + 1)
@@ -850,7 +840,7 @@ class DerivedCategory:
             for i in range(len(dst_x)):
                 for j in range(len(src_x)):
                     if dx[i][j]:
-                        D[i][j] = F.neg(dx[i][j])  # -d_X (shifted part)
+                        D[i][j] = neg_t[dx[i][j]]  # -d_X (shifted part)
             fm = f.maps.get(d + 1)
             if fm:
                 for i in range(len(dst_y)):

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import diskhall
 from diskhall import cli
 from diskhall.cli import main
 
@@ -149,3 +154,48 @@ def test_help_documents_exit_codes(capsys):
     out = capsys.readouterr().out
     for code in "0123":
         assert f"\n  {code}  " in out
+
+
+def test_bigon_disk_is_a_usage_error(capsys):
+    """In a bigon E_1 and E_2 are shifts of one z_1, so (R2) does not apply."""
+    code, out, err = run(capsys, "verify-disk", "--m", "2", "--h", "0,0", "--q", "2")
+    assert code == 2
+    assert out == ""
+    assert "need m >= 3" in err
+
+
+def test_jobs_flag_is_reserved(tmp_path, capsys):
+    """``--jobs`` is still accepted and changes nothing in the report."""
+    reports = []
+    for jobs in ("1", "2"):
+        target = tmp_path / f"jobs{jobs}.json"
+        code, _, _ = run(capsys, "verify-quiver", "--m", "3", "--shifts", "0..1",
+                         "--q", "2,3", "--format", "json", "--jobs", jobs,
+                         "--out", str(target))
+        assert code == 0
+        reports.append(target.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_large_field_uses_bounded_memory(tmp_path):
+    """q = 10007 computes (output recorded from the per-operation field code)
+    and stays far below the ~800 MB one full q x q table would take.  The
+    address-space cap makes a regression fail fast instead of exhausting
+    memory."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diskhall.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out_path, err_path = tmp_path / "out.txt", tmp_path / "err.txt"
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "diskhall.cli", "multiply", "z[1,0] z[2,0]",
+             "z[2,0] z[1,0]", "--m", "3", "--q", "10007"],
+            stdout=out, stderr=err, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, err_path.read_text()
+    assert out_path.read_text() == (
+        "multiply: pass\n"
+        "  q=10007: 100160064*[M[1,2) + M[1,2) + M[2,3) + M[2,3)]"
+        " + 10008*[M[1,2) + M[1,3) + M[2,3)]\n")
+    assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux

@@ -1,0 +1,82 @@
+"""Lookup-table field arithmetic against the per-operation oracle.
+
+Every entry of add/sub/neg/mul/inv is compared with ``field_oracle`` for
+small fields, including F_16 and F_32 whose moduli are found by search, and
+sampled entries for large ones, whose tables must hold only what was looked
+up.  The table-driven ``rref``, ``nullspace`` and ``mat_mul`` are compared
+with the oracle's one-call-per-entry versions on seeded random matrices.
+"""
+
+import random
+
+import pytest
+
+import field_oracle
+from diskhall import repq
+from diskhall.repq import FiniteField, mat_mul, nullspace, rref
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
+def test_every_entry_matches_oracle(q):
+    F = FiniteField(q)
+    if q in (16, 32):
+        assert q not in repq._DEFAULT_MODULI  # the modulus comes from the search
+    O = field_oracle.oracle_of(F)
+    els = list(F.elements())
+    for x in els:
+        assert F.neg(x) == O.neg(x)
+        if x:
+            assert F.inv(x) == O.inv(x)  # the oracle finds an inverse: no zero divisors
+        for y in els:
+            assert F.add(x, y) == O.add(x, y)
+            assert F.sub(x, y) == O.sub(x, y)
+            assert F.mul(x, y) == O.mul(x, y)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+@pytest.mark.parametrize("q", [257, 729, 10007])
+def test_large_field_tables_fill_on_use(q):
+    F = FiniteField(q)
+    O = field_oracle.oracle_of(F)
+    rng = random.Random(q)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(200)]
+    for x, y in pairs:
+        assert F.add(x, y) == O.add(x, y)
+        assert F.sub(x, y) == O.sub(x, y)
+        assert F.mul(x, y) == O.mul(x, y)
+        if x:
+            assert F.mul(x, F.inv(x)) == 1
+    # at most two multiplications and two additions per pair were looked up
+    for table in (F.add_t, F.mul_t):
+        assert sum(len(row) for row in table.values()) <= 2 * len(pairs)
+    assert len(F.neg_t) <= len(pairs) and len(F.inv_t) <= len(pairs)
+
+
+def random_matrix(F, rows, cols, rng):
+    """A random matrix, of full or of deficient rank."""
+    rank = rng.randrange(min(rows, cols) + 1)
+    if rng.random() < 0.5 or rank == 0:
+        return [[rng.randrange(F.q) for _ in range(cols)] for _ in range(rows)]
+    A = [[rng.randrange(F.q) for _ in range(rank)] for _ in range(rows)]
+    B = [[rng.randrange(F.q) for _ in range(cols)] for _ in range(rank)]
+    return mat_mul(F, A, B)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_linear_algebra_matches_oracle(q):
+    F = FiniteField(q)
+    O = field_oracle.oracle_of(F)
+    rng = random.Random(100 + q)
+    deficient = 0
+    for _ in range(150):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 12)
+        M = random_matrix(F, rows, cols, rng)
+        R, pivots = rref(F, M)
+        assert (R, pivots) == field_oracle.rref(O, M)
+        assert nullspace(F, M, cols) == field_oracle.nullspace(O, M, cols)
+        deficient += len(pivots) < min(rows, cols)
+        width = rng.randint(1, 6)
+        N = [[rng.randrange(q) for _ in range(width)] for _ in range(cols)]
+        assert mat_mul(F, M, N) == field_oracle.mat_mul(O, M, N)
+    assert deficient > 20

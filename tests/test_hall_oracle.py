@@ -16,9 +16,10 @@ from diskhall.hall import HallAlgebra
 from diskhall.repq import DerivedCategory, DerivedObject, FiniteField
 
 #: largest dim End X checked at each q.  The enumerating oracle visits all
-#: q^{dim End X} endomorphisms and F_4 arithmetic is slow, so at q = 4 the
-#: twelve objects with dim End 7 or 9 (e.g. S + S + S) are left to q = 2, 3.
-MAX_END_DIM = {2: 9, 3: 9, 4: 5}
+#: q^{dim End X} endomorphisms, so at q = 4 the six objects with dim End 9
+#: (4^9 endomorphisms each, e.g. S + S + S) are left to q = 2, 3 and to the
+#: |GL_3(F_q)| check below; the six with dim End 7 are checked.
+MAX_END_DIM = {2: 9, 3: 9, 4: 7}
 
 
 def dimension(X):
@@ -78,6 +79,7 @@ def test_closed_form_aut_count_matches_enumeration(q):
             assert cat.aut_count(X) == hall_oracle.aut_count(cat, X), X
             checked.add(X.summands)
     assert ((1, 2, 0), (1, 2, 0), (1, 2, 1)) in checked   # S + S + S[1]
+    assert ((1, 2, 0), (1, 2, 0), (2, 3, 1)) in checked   # dim End 7
     assert len(checked) > 50
 
 

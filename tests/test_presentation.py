@@ -59,11 +59,6 @@ def test_verify_report_is_deterministic():
     assert verify_relation_set(rs, (2,)) == verify_relation_set(rs, (2,))
 
 
-def test_verify_jobs_parallel_matches_serial():
-    rs = quiver_relations(2, (0, 1))
-    assert verify_relation_set(rs, (2, 3), jobs=2) == verify_relation_set(rs, (2, 3))
-
-
 # -- psi / phi ---------------------------------------------------------------
 
 def test_psi_phi_mutually_inverse_on_generators():
