@@ -272,6 +272,11 @@ def cmd_presentation(args) -> int:
         cfg = load_config(raw)
     except ValueError as ex:
         raise UsageError(str(ex))
+    # bigons are valid gluing pieces, but a lone one is not a marked disk
+    # with (R1)-(R3), as in verify-disk
+    if len(cfg.disks) == 1 and not cfg.gluings and cfg.disks[0].m < 3:
+        raise UsageError(
+            f"need m >= 3 for a single marked disk, got m = {cfg.disks[0].m}")
     rs = naive_presentation(cfg, args.shifts)
     payload = {"schema": 1, "command": "presentation", "status": "pass",
                "presentation": rs.to_dict(), "reports": []}

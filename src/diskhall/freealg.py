@@ -218,10 +218,6 @@ class NCPolynomial:
 # brackets and composite generators
 # ---------------------------------------------------------------------------
 
-def multiply(x: NCPolynomial, y: NCPolynomial) -> NCPolynomial:
-    return x * y
-
-
 def q_bracket(x: NCPolynomial, y: NCPolynomial, f: ScalarLike = V) -> NCPolynomial:
     """The deformed commutator [x, y]_f = x*y - f*y*x.
 

@@ -16,6 +16,11 @@ counts the morphisms X -> L with cone Y and enumerates End(X), is kept in
 ``tests/hall_oracle.py`` as a test oracle.  The twisted product rescales
 by the Euler pairing:  [X]*[Y] = q^{<Y,X>/2} [X].[Y].
 
+The shift [1] is a triangulated autoequivalence, so the structure
+constants, a(Z), {X,Y} and the Euler form are shift-invariant and
+[X[k]]*[Y[k]] = ([X]*[Y])[k].  The product cache therefore sweeps only the
+pair translated to lowest summand shift 0 and shifts each cone back.
+
 Free-algebra expressions are evaluated here by sending each generator
 to a basis class and each Q(v) coefficient to Q(sqrt(q)).
 """
@@ -135,6 +140,8 @@ class HallAlgebra:
         self.field = FiniteField(q, modulus)
         self.category = DerivedCategory(m, self.field)
         self._product_cache: Dict[Tuple, Dict[DerivedObject, QuadraticScalar]] = {}
+        # one instance per cone class, shared by every cached product
+        self._objects: Dict[Tuple, DerivedObject] = {}
 
     # -- scalar-valued ingredients ------------------------------------------
 
@@ -157,22 +164,45 @@ class HallAlgebra:
     # -- products ------------------------------------------------------------
 
     def _basis_product(self, X: DerivedObject, Y: DerivedObject):
+        """[X]*[Y] as a dict L -> coefficient, in the order of L.summands.
+
+        The product is shift-equivariant, so only the pair translated to
+        lowest summand shift 0 is swept; the result is shifted back and
+        also stored under the caller's key, so a repeated call returns the
+        same dict.
+        """
         key = (X.summands, Y.summands)
         cached = self._product_cache.get(key)
         if cached is not None:
             return cached
+        s = min((n for (_a, _b, n) in key[0] + key[1]), default=0)
+        if s == 0:
+            out = self._sweep(X, Y)
+        else:
+            X, Y = X.shifted(-s), Y.shifted(-s)
+            base = self._product_cache.get((X.summands, Y.summands))
+            if base is None:
+                base = self._product_cache[X.summands, Y.summands] = self._sweep(X, Y)
+            # shifting every L by s keeps the order of the keys
+            out = {self._intern(L.shifted(s)): c for L, c in base.items()}
+        self._product_cache[key] = out
+        return out
+
+    def _sweep(self, X: DerivedObject, Y: DerivedObject):
         twist = QuadraticScalar.sqrt_q_power(self.q, self.category.euler_form(Y, X))
         # one sweep: count the cones L of the triangles Y[-1] -> X -> L
         counts: Dict[DerivedObject, int] = {}
         for w in self.category.enumerate_dhoms(Y.shifted(-1), X):
-            L = self.category.cone(w)
+            L = self._intern(self.category.cone(w))
             counts[L] = counts.get(L, 0) + 1
         out: Dict[DerivedObject, QuadraticScalar] = {}
         for L in sorted(counts, key=lambda o: o.summands):
             c = self.structure_constant(X, Y, L, counts[L])
             out[L] = twist * QuadraticScalar(self.q, c)
-        self._product_cache[key] = out
         return out
+
+    def _intern(self, L: DerivedObject) -> DerivedObject:
+        return self._objects.setdefault(L.summands, L)
 
     def hall_product(self, x: HallElement, y: HallElement) -> HallElement:
         if x.q != self.q or y.q != self.q:

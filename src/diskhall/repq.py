@@ -15,8 +15,11 @@ Everything is computed honestly over F_q:
 * ``DerivedObject`` -- a multiset of shifted intervals (a, b, n); derived
   Hom spaces and cones are computed on 2-term complexes of projectives,
   where every Hom(P_i, P_j) with j <= i is one dimensional and composition
-  is multiplication of scalars.  Automorphism counts follow in closed form
-  from dim End.
+  is multiplication of scalars.  Graded Hom is additive in both arguments
+  and shift-invariant, so ``dhom_dims`` sums a table of pairs of
+  indecomposables M[a,b), M[c,d)[r] keyed by the relative shift r, each
+  entry computed once on its Hom complex.  Automorphism counts follow in
+  closed form from dim End.
 
 Objects are identified up to isomorphism by taking homology degreewise
 (the category is hereditary) and barcoding it.
@@ -568,8 +571,8 @@ class _PComplex:
     def dmat(self, d: int) -> Matrix:
         src, dst = self.at(d), self.at(d + 1)
         D = self.diff.get(d)
-        if D is None:
-            return zeros(len(dst), len(src))
+        if D is None:  # built once; no caller writes to a differential
+            D = self.diff[d] = zeros(len(dst), len(src))
         return D
 
 
@@ -612,9 +615,6 @@ class DMorphism:
         self._cx = cx
         self._cy = cy
 
-    def is_zero_map(self) -> bool:
-        return all(all(all(x == 0 for x in row) for row in M) for M in self.maps.values())
-
 
 class DerivedCategory:
     """Computation context for D^b(Rep_{F_q} A_{m-1}) with memo caches."""
@@ -625,8 +625,8 @@ class DerivedCategory:
         self.m = m
         self.field = field
         self._dhom_cache: Dict[Tuple, Dict[int, int]] = {}
+        self._pair_cache: Dict[Tuple[int, int, int, int, int], Dict[int, int]] = {}
         self._aut_cache: Dict[Tuple, int] = {}
-        self._homology_cache: Dict[Tuple, dict] = {}
 
     # -- complexes and hom-space plumbing -----------------------------------
 
@@ -685,22 +685,40 @@ class DerivedCategory:
     # -- public operations ---------------------------------------------------
 
     def dhom_dims(self, X: DerivedObject, Y: DerivedObject) -> Dict[int, int]:
-        """Graded dims: degree k -> dim Hom(X, Y[k]); zero degrees omitted."""
+        """Graded dims: degree k -> dim Hom(X, Y[k]); zero degrees omitted.
+
+        Hom is additive in both arguments, so the dims are summed over
+        pairs of summands M[a,b)[n] of X and M[c,d)[k] of Y, and each pair
+        depends only on the relative shift k - n (``_pair_dims``).
+        """
         key = (X.summands, Y.summands)
         cached = self._dhom_cache.get(key)
         if cached is not None:
             return cached
+        total: Dict[int, int] = {}
+        for (a, b, n) in X.summands:
+            for (c, d, k) in Y.summands:
+                for deg, dim in self._pair_dims(a, b, c, d, k - n).items():
+                    total[deg] = total.get(deg, 0) + dim
+        out = self._dhom_cache[key] = {deg: total[deg] for deg in sorted(total)}
+        return out
+
+    def _pair_dims(self, a: int, b: int, c: int, d: int, r: int) -> Dict[int, int]:
+        """Graded dims of Hom(M[a,b), M[c,d)[r][k]), computed once per pair
+        on the Hom complex of the two one-summand projective complexes."""
+        key = (a, b, c, d, r)
+        cached = self._pair_cache.get(key)
+        if cached is not None:
+            return cached
+        cx = self.complex_of(DerivedObject(((a, b, 0),)))
+        cy = self.complex_of(DerivedObject(((c, d, r),)))
+        dxs, dys = cx.degrees(), cy.degrees()
         out: Dict[int, int] = {}
-        if not X.is_zero() and not Y.is_zero():
-            cx, cy = self.complex_of(X), self.complex_of(Y)
-            dxs, dys = cx.degrees(), cy.degrees()
-            lo = dys[0] - dxs[-1]
-            hi = dys[-1] - dxs[0]
-            for n in range(lo, hi + 1):
-                dim = self._hom_degree_dim(cx, cy, n)
-                if dim:
-                    out[n] = dim
-        self._dhom_cache[key] = out
+        for n in range(dys[0] - dxs[-1], dys[-1] - dxs[0] + 1):
+            dim = self._hom_degree_dim(cx, cy, n)
+            if dim:
+                out[n] = dim
+        self._pair_cache[key] = out
         return out
 
     def euler_form(self, X: DerivedObject, Y: DerivedObject) -> int:
@@ -874,17 +892,3 @@ class DerivedCategory:
                 raise ArithmeticError(f"non-integral automorphism count {count}")
             cached = self._aut_cache[key] = int(count)
         return cached
-
-    # -- conversions ---------------------------------------------------------
-
-    def rep_of(self, X: DerivedObject) -> QuiverRep:
-        """The underlying module of a shift-0 object (error otherwise)."""
-        if any(n != 0 for (_a, _b, n) in X.summands):
-            raise ValueError("object is not concentrated in degree 0")
-        if X.is_zero():
-            return zero_rep(self.field, self.m)
-        return direct_sum([interval_rep(self.field, self.m, a, b)
-                           for (a, b, _n) in X.summands])
-
-    def object_of_rep(self, M: QuiverRep) -> DerivedObject:
-        return DerivedObject.of((a, b, 0) for (a, b) in barcode(M))

@@ -266,11 +266,6 @@ V = RationalFunctionV.v_power(1)
 Q = RationalFunctionV.q_power(1)
 
 
-def normalize(num, den) -> RationalFunctionV:
-    """Build the canonical reduced fraction num/den of polynomials in v."""
-    return RationalFunctionV(num, den)
-
-
 # ---------------------------------------------------------------------------
 # prime powers and Q(sqrt(q))
 # ---------------------------------------------------------------------------
@@ -317,6 +312,16 @@ class QuadraticScalar:
     def __setattr__(self, *_):
         raise AttributeError("immutable")
 
+    def _make(self, a: Fraction, b: Fraction) -> "QuadraticScalar":
+        """A result of arithmetic on validated operands, built without
+        ``__init__``: q is already a prime power, and when q is a square
+        b is 0 in both operands, so it stays 0 under +, - and *."""
+        out = object.__new__(QuadraticScalar)
+        object.__setattr__(out, "q", self.q)
+        object.__setattr__(out, "a", a)
+        object.__setattr__(out, "b", b)
+        return out
+
     @staticmethod
     def sqrt_q_power(q: int, n: int) -> "QuadraticScalar":
         """q^(n/2) as an exact scalar, for any integer n."""
@@ -342,12 +347,12 @@ class QuadraticScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadraticScalar(self.q, self.a + other.a, self.b + other.b)
+        return self._make(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticScalar(self.q, -self.a, -self.b)
+        return self._make(-self.a, -self.b)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -362,11 +367,8 @@ class QuadraticScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadraticScalar(
-            self.q,
-            self.a * other.a + self.b * other.b * self.q,
-            self.a * other.b + self.b * other.a,
-        )
+        return self._make(self.a * other.a + self.b * other.b * self.q,
+                          self.a * other.b + self.b * other.a)
 
     __rmul__ = __mul__
 

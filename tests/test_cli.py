@@ -11,6 +11,7 @@ import pytest
 import diskhall
 from diskhall import cli
 from diskhall.cli import main
+from diskhall.surface import load_config
 
 
 def run(capsys, *argv):
@@ -159,6 +160,20 @@ def test_help_documents_exit_codes(capsys):
 def test_bigon_disk_is_a_usage_error(capsys):
     """In a bigon E_1 and E_2 are shifts of one z_1, so (R2) does not apply."""
     code, out, err = run(capsys, "verify-disk", "--m", "2", "--h", "0,0", "--q", "2")
+    assert code == 2
+    assert out == ""
+    assert "need m >= 3" in err
+
+
+def test_lone_bigon_presentation_is_a_usage_error(tmp_path, capsys):
+    """A lone bigon is rejected as in verify-disk; load_config still accepts
+    bigons, which are valid pieces of a gluing."""
+    raw = {"disks": [{"m": 2, "h": [0, 0]}]}
+    assert load_config(raw).disks[0].m == 2
+    cfg = tmp_path / "bigon.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "presentation", str(cfg), "--q", "2",
+                         "--shifts", "0..0")
     assert code == 2
     assert out == ""
     assert "need m >= 3" in err

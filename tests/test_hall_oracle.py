@@ -1,10 +1,14 @@
-"""One-sweep structure constants and closed-form automorphism counts.
+"""One-sweep structure constants, closed-form automorphism counts, and the
+two symmetries the memos use.
 
 The package's derived Riedtmann formula and closed-form |Aut| are checked
 against the two-sweep enumerations they replaced (``hall_oracle``) on all
 small cases: products with dim X + dim Y <= 3 and objects of total dimension
 <= 3, with summand shifts in 0..2, taken up to an overall shift (which is an
-autoequivalence).
+autoequivalence).  The product cache, which sweeps only the pair translated
+to lowest shift 0, is checked on pairs translated by -2 and +3; the graded
+Hom dims, summed from a table of summand pairs, are checked against the Hom
+complex of the whole objects.
 """
 
 import itertools
@@ -14,6 +18,7 @@ import pytest
 import hall_oracle
 from diskhall.hall import HallAlgebra
 from diskhall.repq import DerivedCategory, DerivedObject, FiniteField
+from diskhall.scalar import QuadraticScalar
 
 #: largest dim End X checked at each q.  The enumerating oracle visits all
 #: q^{dim End X} endomorphisms, so at q = 4 the six objects with dim End 9
@@ -43,27 +48,77 @@ def lowest_shift(*objs):
     return min(n for X in objs for (_a, _b, n) in X.summands)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("q", [2, 3])
-def test_riedtmann_matches_two_sweep_oracle(q, m):
+def full_complex_dims(cat, X, Y):
+    """Graded Hom dims from the Hom complex of the whole projective
+    complexes of X and Y, with no use of additivity or of the shift."""
+    if X.is_zero() or Y.is_zero():
+        return {}
+    cx, cy = cat.complex_of(X), cat.complex_of(Y)
+    dxs, dys = cx.degrees(), cy.degrees()
+    dims = {n: cat._hom_degree_dim(cx, cy, n)
+            for n in range(dys[0] - dxs[-1], dys[-1] - dxs[0] + 1)}
+    return {n: d for n, d in dims.items() if d}
+
+
+def check_products(q, m, shift):
+    """Every constant of [X][Y], for X, Y translated by a common shift from
+    lowest summand shift 0, against the two-sweep oracle run on the
+    translated objects themselves."""
     alg = HallAlgebra(m, q)
     cat = alg.category
     objs = objects(m, 2)
     triples = 0
-    for X, Y in itertools.product(objs, repeat=2):
-        if dimension(X) + dimension(Y) > 3 or lowest_shift(X, Y) != 0:
+    for X0, Y0 in itertools.product(objs, repeat=2):
+        if dimension(X0) + dimension(Y0) > 3 or lowest_shift(X0, Y0) != 0:
             continue
+        X, Y = X0.shifted(shift), Y0.shifted(shift)
         counts = {}
         for w in cat.enumerate_dhoms(Y.shifted(-1), X):
             L = cat.cone(w)
             counts[L] = counts.get(L, 0) + 1
-        assert set(alg._basis_product(X, Y)) == set(counts)
+        product = alg._basis_product(X, Y)
+        assert list(product) == sorted(counts, key=lambda o: o.summands)
+        euler = sum((-1) ** (k % 2) * d for k, d in full_complex_dims(cat, Y, X).items())
+        twist = QuadraticScalar.sqrt_q_power(q, euler)
         for L, n in counts.items():
             expected = hall_oracle.structure_constant(alg, X, Y, L)
             assert expected != 0
             assert alg.structure_constant(X, Y, L, n) == expected, (X, Y, L)
+            assert product[L] == twist * QuadraticScalar(q, expected), (X, Y, L)
             triples += 1
     assert triples >= 30
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3])
+def test_riedtmann_matches_two_sweep_oracle(q, m):
+    check_products(q, m, 0)
+
+
+@pytest.mark.parametrize("shift", [-2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3])
+def test_translated_products_match_two_sweep_oracle(q, m, shift):
+    """The product cache sweeps the pair translated to lowest shift 0 and
+    shifts each cone back; the constants must be those of the pair itself."""
+    check_products(q, m, shift)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_dhom_dims_sum_the_pair_table(q):
+    """Graded Hom summed over summand pairs (by relative shift) equals Hom
+    computed on the whole complexes, for dim X + dim Y <= 3, shifts -2..2."""
+    pairs = 0
+    for m in (2, 3, 4):
+        cat = DerivedCategory(m, FiniteField(q))
+        objs = objects(m, 2, shifts=range(-2, 3))
+        for X, Y in itertools.product(objs, repeat=2):
+            if dimension(X) + dimension(Y) > 3:
+                continue
+            expected = full_complex_dims(cat, X, Y)
+            assert list(cat.dhom_dims(X, Y).items()) == list(expected.items()), (X, Y)
+            pairs += 1
+    assert pairs > 4000
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

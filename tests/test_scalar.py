@@ -101,6 +101,27 @@ def test_quadratic_scalar_ring_laws(a, b, c, d):
         assert x * x.inverse() == QuadraticScalar(2, 1)
 
 
+@pytest.mark.parametrize("q", [2, 4, 9])
+@given(a=rationals, b=rationals, c=rationals, d=rationals)
+def test_arithmetic_matches_constructor(q, a, b, c, d):
+    """+, - and * build results without re-validating q; each must equal and
+    hash like the value the validating constructor builds (which folds b
+    into a when q is a square)."""
+    x, y = QuadraticScalar(q, a, b), QuadraticScalar(q, c, d)
+    for got, want in ((x + y, QuadraticScalar(q, a + c, b + d)),
+                      (-x, QuadraticScalar(q, -a, -b)),
+                      (x - y, QuadraticScalar(q, a - c, b - d)),
+                      (x * y, QuadraticScalar(q, a * c + b * d * q, a * d + b * c))):
+        assert got == want and hash(got) == hash(want)
+        assert (got.q, got.a, got.b) == (want.q, want.a, want.b)
+        assert type(got.a) is Fraction and type(got.b) is Fraction
+
+
+def test_constructor_validates_q():
+    with pytest.raises(ValueError):
+        QuadraticScalar(6, 1)
+
+
 def test_quadratic_scalar_mixed_q_rejected():
     with pytest.raises(ValueError):
         QuadraticScalar(2, 1) + QuadraticScalar(3, 1)
