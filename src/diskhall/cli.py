@@ -5,10 +5,12 @@ Subcommands
     verify-disk     (R1)-(R3) plus the cyclic ladders for one marked disk
     verify-skein    interior/boundary/local skein identities
     multiply        evaluate a product of generators in the Hall algebra
-    presentation    emit (and verify, when possible) a surface presentation
+    presentation    verify a surface presentation, or emit it with --emit-only
 
-Exit codes: 0 all checks pass, 1 at least one identity failed,
-2 usage or validation error, 3 internal error.
+Exit codes: 0 all checks pass (or, with presentation --emit-only, the
+presentation was emitted unchecked), 1 at least one identity failed,
+2 usage or validation error (including a presentation no oracle checks,
+without --emit-only), 3 internal error.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .surface import (FoliationData, GradedChord, MarkedDisk, boundary_skein,
 
 
 EXIT_CODES = """exit codes:
-  0  every identity holds
+  0  every identity holds (presentation --emit-only: emitted, nothing checked)
   1  at least one identity failed
   2  usage or validation error
   3  internal error (an unexpected exception)"""
@@ -278,13 +280,16 @@ def cmd_presentation(args) -> int:
         raise UsageError(
             f"need m >= 3 for a single marked disk, got m = {cfg.disks[0].m}")
     rs = naive_presentation(cfg, args.shifts)
-    payload = {"schema": 1, "command": "presentation", "status": "pass",
+    if not rs.verifiable and not args.emit_only:
+        raise UsageError(
+            "no oracle checks this configuration (only a lone disk or one gluing "
+            "of two disks is verified); pass --emit-only to emit it unchecked")
+    payload = {"schema": 1, "command": "presentation", "status": "emitted",
                "presentation": rs.to_dict(), "reports": []}
-    if rs.verifiable and not args.emit_only:
+    if not args.emit_only:
         rep = verify_relation_set(rs, args.q)
         payload["reports"] = [rep]
-        if not rep["passed"]:
-            payload["status"] = "fail"
+        payload["status"] = "pass" if rep["passed"] else "fail"
     if args.format == "text":
         lines = [f"presentation: {payload['status']}",
                  f"  generators: {len(rs.generators)}  relations: {len(rs.relations)}"
@@ -298,7 +303,7 @@ def cmd_presentation(args) -> int:
             sys.stdout.write(text)
     else:
         _emit(payload, "json", args.out)
-    return 0 if payload["status"] == "pass" else 1
+    return 1 if payload["status"] == "fail" else 0
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_multiply)
 
-    p = sub.add_parser("presentation", help="emit/verify a surface presentation")
+    p = sub.add_parser("presentation", help="verify or emit a surface presentation")
     p.add_argument("config", help="surface config JSON file")
     _add_common(p, with_m=False)
     p.add_argument("--emit-only", action="store_true",
-                   help="skip oracle verification even when available")
+                   help='emit without verification, with status "emitted"; '
+                        "needed for configs no oracle checks (anything but a lone "
+                        "disk or one gluing of two disks)")
     p.set_defaults(func=cmd_presentation)
     return ap
 

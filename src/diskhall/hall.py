@@ -16,6 +16,16 @@ counts the morphisms X -> L with cone Y and enumerates End(X), is kept in
 ``tests/hall_oracle.py`` as a test oracle.  The twisted product rescales
 by the Euler pairing:  [X]*[Y] = q^{<Y,X>/2} [X].[Y].
 
+The sweep takes one cone per torus orbit of block-support patterns, not
+one per morphism (``DerivedCategory.cone_counts``).  Hom between two
+indecomposables of D^b(A_{m-1}) is at most one dimensional in each degree,
+so Hom(Y[-1], X) is a sum of one-dimensional blocks, one per pair of
+summands.  The cone of w is the direct sum of the untouched summands of X
+and Y and the cones of the connected components of its block support, and
+the diagonal torus of Aut Y x Aut X, which scales the blocks, preserves
+it.  A support with no cycle thus needs one (memoised) cone, whatever q is.
+The per-morphism sweep is kept in ``tests/test_hall_oracle.py``.
+
 The shift [1] is a triangulated autoequivalence, so the structure
 constants, a(Z), {X,Y} and the Euler form are shift-invariant and
 [X[k]]*[Y[k]] = ([X]*[Y])[k].  The product cache therefore sweeps only the
@@ -190,15 +200,12 @@ class HallAlgebra:
 
     def _sweep(self, X: DerivedObject, Y: DerivedObject):
         twist = QuadraticScalar.sqrt_q_power(self.q, self.category.euler_form(Y, X))
-        # one sweep: count the cones L of the triangles Y[-1] -> X -> L
-        counts: Dict[DerivedObject, int] = {}
-        for w in self.category.enumerate_dhoms(Y.shifted(-1), X):
-            L = self._intern(self.category.cone(w))
-            counts[L] = counts.get(L, 0) + 1
+        # N_L: how many w in Hom(Y[-1], X) complete to Y[-1] -> X -> L
+        counts = self.category.cone_counts(Y.shifted(-1), X)
         out: Dict[DerivedObject, QuadraticScalar] = {}
         for L in sorted(counts, key=lambda o: o.summands):
             c = self.structure_constant(X, Y, L, counts[L])
-            out[L] = twist * QuadraticScalar(self.q, c)
+            out[self._intern(L)] = twist * QuadraticScalar(self.q, c)
         return out
 
     def _intern(self, L: DerivedObject) -> DerivedObject:

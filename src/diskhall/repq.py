@@ -20,6 +20,11 @@ Everything is computed honestly over F_q:
   indecomposables M[a,b), M[c,d)[r] keyed by the relative shift r, each
   entry computed once on its Hom complex.  Automorphism counts follow in
   closed form from dim End.
+* ``cone_counts`` -- N_L = #{w : X -> Y with cone L}, from one cone per
+  torus orbit of block-support patterns: Hom between indecomposables is at
+  most one dimensional in each degree, cones split over the connected
+  components of the support, and the torus of Aut X x Aut Y preserves them.
+  Each component's cone is memoised modulo the shift functor.
 
 Objects are identified up to isomorphism by taking homology degreewise
 (the category is hereditary) and barcoding it.
@@ -408,17 +413,14 @@ def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
     return len(hom_space(M, N))
 
 
-def ext1_space(M: QuiverRep, N: QuiverRep, representatives: bool = False):
-    """dim Ext^1(M, N) and optionally explicit middle-term representations.
-
-    Classes live in the cokernel of d : sum_v Hom(M_v, N_v) ->
-    sum_v Hom(M_v, N_{v+1}), d(f)_v = f_{v+1} A_v - B_v f_v.
+def ext1_space(M: QuiverRep, N: QuiverRep) -> int:
+    """dim Ext^1(M, N), the dimension of the cokernel of d : sum_v
+    Hom(M_v, N_v) -> sum_v Hom(M_v, N_{v+1}), d(f)_v = f_{v+1} A_v - B_v f_v.
     """
     if M.m != N.m:
         raise ValueError("mismatched quiver sizes")
     F = M.field
     nv = M.m - 1
-    c0 = sum(N.dims[v] * M.dims[v] for v in range(nv))
     c1_offsets, c1 = [], 0
     for v in range(nv - 1):
         c1_offsets.append(c1)
@@ -428,8 +430,7 @@ def ext1_space(M: QuiverRep, N: QuiverRep, representatives: bool = False):
     for v in range(nv):
         offsets.append(total)
         total += N.dims[v] * M.dims[v]
-    assert total == c0
-    d = zeros(c1, c0)
+    d = zeros(c1, total)
     for v in range(nv - 1):
         for i in range(N.dims[v + 1]):
             for j in range(M.dims[v]):
@@ -444,33 +445,7 @@ def ext1_space(M: QuiverRep, N: QuiverRep, representatives: bool = False):
                     if b:
                         c = offsets[v] + t * M.dims[v] + j
                         d[r][c] = F.sub(d[r][c], b)
-    rank = mat_rank(F, d)
-    dim = c1 - rank
-    if not representatives:
-        return dim, None
-    # complement of im(d) in C^1: standard basis vectors extending the image
-    image_cols = [[d[i][j] for i in range(c1)] for j in range(c0)]
-    std = [[1 if i == j else 0 for i in range(c1)] for j in range(c1)]
-    picked = column_space_extension(F, columns(image_cols), columns(std))
-    reps = []
-    for idx in picked:
-        gamma = std[idx]
-        # middle term E_v = N_v (+) M_v with arrows [[B, gamma], [0, A]]
-        dims = [N.dims[v] + M.dims[v] for v in range(nv)]
-        maps = []
-        for v in range(nv - 1):
-            A = zeros(dims[v + 1], dims[v])
-            for i in range(N.dims[v + 1]):
-                for j in range(N.dims[v]):
-                    A[i][j] = N.maps[v][i][j]
-                for j in range(M.dims[v]):
-                    A[i][N.dims[v] + j] = gamma[c1_offsets[v] + i * M.dims[v] + j]
-            for i in range(M.dims[v + 1]):
-                for j in range(M.dims[v]):
-                    A[N.dims[v + 1] + i][N.dims[v] + j] = M.maps[v][i][j]
-            maps.append(A)
-        reps.append(QuiverRep(F, M.m, dims, maps))
-    return dim, reps
+    return c1 - mat_rank(F, d)
 
 
 def barcode(M: QuiverRep) -> Tuple[Tuple[int, int], ...]:
@@ -576,30 +551,60 @@ class _PComplex:
         return D
 
 
+def _term_positions(m: int, X: DerivedObject) -> List[Dict[int, int]]:
+    """Per summand of X: degree -> index of its term in ``_object_complex``."""
+    count: Counter = Counter()
+    out = []
+    for (_a, b, n) in X.summands:
+        here = {}
+        for d in ((-n, -n - 1) if b < m else (-n,)):
+            here[d] = count[d]
+            count[d] += 1
+        out.append(here)
+    return out
+
+
 def _object_complex(m: int, X: DerivedObject) -> _PComplex:
     """Projective resolution complex: M[a,b)[n] gives P_a in degree -n
     and (when b < m) P_b in degree -n-1 with the canonical inclusion."""
     labels: Dict[int, List[int]] = {}
-    entries = []  # (deg_src, idx_src, deg_dst, idx_dst)
     for (a, b, n) in X.summands:
-        d_top = -n
-        labels.setdefault(d_top, [])
-        top_idx = len(labels[d_top])
-        labels[d_top].append(a)
+        labels.setdefault(-n, []).append(a)
         if b < m:
-            d_low = -n - 1
-            labels.setdefault(d_low, [])
-            low_idx = len(labels[d_low])
-            labels[d_low].append(b)
-            entries.append((d_low, low_idx, d_top, top_idx))
-    diff: Dict[int, Matrix] = {}
-    for d, ls in labels.items():
-        nxt = labels.get(d + 1, [])
-        if nxt:
-            diff[d] = zeros(len(nxt), len(ls))
-    for (ds, i_s, dd, i_d) in entries:
-        diff[ds][i_d][i_s] = 1
+            labels.setdefault(-n - 1, []).append(b)
+    diff = {d: zeros(len(labels[d + 1]), len(ls))
+            for d, ls in labels.items() if d + 1 in labels}
+    for (_a, b, n), pos in zip(X.summands, _term_positions(m, X)):
+        if b < m:
+            diff[-n - 1][pos[-n]][pos[-n - 1]] = 1
     return _PComplex(m, labels, diff)
+
+
+def _components(edges: List[Tuple[int, int]]):
+    """Connected components of the bipartite graph with edges (i, j)
+    between source vertices (0, i) and target vertices (1, j), as
+    (vertices, edges) pairs, and the edges that close a cycle over the
+    spanning forest grown in edge order."""
+    parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    cycle = []
+    for i, j in edges:
+        ru, rv = find((0, i)), find((1, j))
+        if ru == rv:
+            cycle.append((i, j))
+        else:
+            parent[ru] = rv
+    comps: Dict[Tuple[int, int], Tuple[list, list]] = {}
+    for v in parent:
+        comps.setdefault(find(v), ([], []))[0].append(v)
+    for i, j in edges:
+        comps[find((0, i))][1].append((i, j))
+    return list(comps.values()), cycle
 
 
 class DMorphism:
@@ -627,6 +632,8 @@ class DerivedCategory:
         self._dhom_cache: Dict[Tuple, Dict[int, int]] = {}
         self._pair_cache: Dict[Tuple[int, int, int, int, int], Dict[int, int]] = {}
         self._aut_cache: Dict[Tuple, int] = {}
+        self._block_cache: Dict[Tuple[int, int, int, int, int], List[Tuple[int, int]]] = {}
+        self._cone_cache: Dict[Tuple, DerivedObject] = {}
 
     # -- complexes and hom-space plumbing -----------------------------------
 
@@ -724,21 +731,13 @@ class DerivedCategory:
     def euler_form(self, X: DerivedObject, Y: DerivedObject) -> int:
         return sum((-1) ** (k % 2) * d for k, d in self.dhom_dims(X, Y).items())
 
-    def enumerate_dhoms(self, X: DerivedObject, Y: DerivedObject) -> List[DMorphism]:
-        """All homotopy classes of degree-0 maps X -> Y, with representatives."""
+    def _dhom_basis(self, cx: _PComplex, cy: _PComplex):
+        """Degree-0 cochain coordinates and cocycle vectors whose classes
+        form a basis of homotopy classes of chain maps cx -> cy."""
         F = self.field
-        cx, cy = self.complex_of(X), self.complex_of(Y)
         v0 = self._hom_vars(cx, cy, 0)
-
-        def to_morphism(vec: Sequence[int]) -> DMorphism:
-            maps = {d: zeros(len(cy.at(d)), len(cx.at(d))) for d in cx.degrees()}
-            for c, (d, i, j) in enumerate(v0):
-                if vec[c]:
-                    maps[d][i][j] = vec[c]
-            return DMorphism(X, Y, maps, cx, cy)
-
         if not v0:
-            return [to_morphism([])]
+            return v0, []
         v1 = self._hom_vars(cx, cy, 1)
         vm1 = self._hom_vars(cx, cy, -1)
         d0 = self._delta(cx, cy, 0, v0, v1)
@@ -746,7 +745,13 @@ class DerivedCategory:
         cocycles = nullspace(F, d0, len(v0))
         image = [[dm1[i][j] for i in range(len(v0))] for j in range(len(vm1))]
         picked = column_space_extension(F, columns(image), columns(cocycles))
-        reps = [cocycles[i] for i in picked]
+        return v0, [cocycles[i] for i in picked]
+
+    def enumerate_dhoms(self, X: DerivedObject, Y: DerivedObject) -> List[DMorphism]:
+        """All homotopy classes of degree-0 maps X -> Y, with representatives."""
+        F = self.field
+        cx, cy = self.complex_of(X), self.complex_of(Y)
+        v0, reps = self._dhom_basis(cx, cy)
         out = []
         add_t, mul_t = F.add_t, F.mul_t
         for coeffs in itertools.product(F.elements(), repeat=len(reps)):
@@ -754,8 +759,107 @@ class DerivedCategory:
             for c, rep in zip(coeffs, reps):
                 if c:
                     vec = [add_t[x][mul_t[r][c]] for x, r in zip(vec, rep)]
-            out.append(to_morphism(vec))
+            maps = {d: zeros(len(cy.at(d)), len(cx.at(d))) for d in cx.degrees()}
+            for c, (d, i, j) in enumerate(v0):
+                if vec[c]:
+                    maps[d][i][j] = vec[c]
+            out.append(DMorphism(X, Y, maps, cx, cy))
         return out
+
+    # -- cone counts over torus orbits of support patterns -------------------
+
+    def cone_counts(self, X: DerivedObject, Y: DerivedObject) -> Dict[DerivedObject, int]:
+        """N_L = #{w in Hom(X, Y) : cone(w) = L} for every cone class L.
+
+        Hom between two indecomposables is at most one dimensional in each
+        degree, so Hom(X, Y) is a sum of one-dimensional blocks, one per
+        summand pair (i, j) with Hom(X_i, Y_j) != 0.  A morphism with block
+        support S has cone
+
+            (X_i[1] for untouched i) + (Y_j for untouched j)
+            + (the cone of each connected component of S),
+
+        S read as a bipartite graph on the summands.  The torus
+        (F_q^x)^{#X} x (F_q^x)^{#Y} of Aut X x Aut Y scales block (i, j)
+        by mu_j / lambda_i and preserves the cone.  Its orbits on the
+        morphisms with support S are represented by setting the edges of a
+        spanning forest to 1 and each other edge to any unit, and each
+        representative stands for (q-1)^(|S| - #cycles) morphisms.  So a
+        forest support needs one cone, whatever q is.
+        """
+        xs, ys = X.summands, Y.summands
+        edges = []
+        for i, (a, b, n) in enumerate(xs):
+            for j, (c, d, k) in enumerate(ys):
+                dim = self._pair_dims(a, b, c, d, k - n).get(0, 0)
+                if dim > 1:
+                    raise ArithmeticError(f"Hom block of dimension {dim}")
+                if dim:
+                    edges.append((i, j))
+        q = self.field.q
+        counts: Dict[DerivedObject, int] = {}
+        for mask in range(1 << len(edges)):
+            support = [e for t, e in enumerate(edges) if mask >> t & 1]
+            comps, cycle = _components(support)
+            touched = {v for vertices, _ in comps for v in vertices}
+            rest = [(a, b, n + 1) for i, (a, b, n) in enumerate(xs) if (0, i) not in touched]
+            rest += [s for j, s in enumerate(ys) if (1, j) not in touched]
+            weight = (q - 1) ** (len(support) - len(cycle))
+            for units in itertools.product(range(1, q), repeat=len(cycle)):
+                value = dict(zip(cycle, units))
+                summands = list(rest)
+                for vertices, comp_edges in comps:
+                    src = sorted(i for side, i in vertices if side == 0)
+                    dst = sorted(j for side, j in vertices if side == 1)
+                    local = tuple(sorted((src.index(i), dst.index(j), value.get((i, j), 1))
+                                         for i, j in comp_edges))
+                    summands += self._component_cone(
+                        [xs[i] for i in src], [ys[j] for j in dst], local)
+                L = DerivedObject(tuple(sorted(summands)))
+                counts[L] = counts.get(L, 0) + weight
+        return counts
+
+    def _component_cone(self, xs, ys, edges) -> List[Tuple[int, int, int]]:
+        """Summands of the cone of the map from the summands ``xs`` to the
+        summands ``ys`` that is ``value`` times the basis map of the block
+        (xs[i], ys[j]) for each (i, j, value) in ``edges``.  Memoised modulo
+        the shift functor."""
+        s = min(n for (_a, _b, n) in xs + ys)
+        X = DerivedObject(tuple((a, b, n - s) for (a, b, n) in xs))
+        Y = DerivedObject(tuple((a, b, n - s) for (a, b, n) in ys))
+        key = (X.summands, Y.summands, edges)
+        cone = self._cone_cache.get(key)
+        if cone is None:
+            cone = self._cone_cache[key] = self.cone(self._block_morphism(X, Y, edges))
+        return [(a, b, n + s) for (a, b, n) in cone.summands]
+
+    def _block_morphism(self, X: DerivedObject, Y: DerivedObject, edges) -> DMorphism:
+        """The chain map X -> Y that is ``value`` times the basis map of
+        Hom(X_i, Y_j) for each (i, j, value) in ``edges``, zero elsewhere."""
+        cx, cy = self.complex_of(X), self.complex_of(Y)
+        px, py = _term_positions(self.m, X), _term_positions(self.m, Y)
+        maps = {d: zeros(len(cy.at(d)), len(cx.at(d))) for d in cx.degrees()}
+        mul_t = self.field.mul_t
+        for i, j, value in edges:
+            (a, b, n), (c, d, k) = X.summands[i], Y.summands[j]
+            for deg, x in self._pair_block(a, b, c, d, k - n):
+                D = deg - n  # the pair's source sits at shift 0, X_i at shift n
+                maps[D][py[j][D]][px[i][D]] = mul_t[x][value]
+        return DMorphism(X, Y, maps, cx, cy)
+
+    def _pair_block(self, a: int, b: int, c: int, d: int, r: int) -> List[Tuple[int, int]]:
+        """The basis chain map M[a,b) -> M[c,d)[r] of a one-dimensional
+        degree-0 Hom, as (degree, scalar) entries: each of the two
+        one-summand complexes has at most one term per degree."""
+        key = (a, b, c, d, r)
+        block = self._block_cache.get(key)
+        if block is None:
+            cx = self.complex_of(DerivedObject(((a, b, 0),)))
+            cy = self.complex_of(DerivedObject(((c, d, r),)))
+            v0, (rep,) = self._dhom_basis(cx, cy)
+            block = self._block_cache[key] = [
+                (deg, x) for (deg, _i, _j), x in zip(v0, rep) if x]
+        return block
 
     # -- rep-level expansion of a projective complex -------------------------
 

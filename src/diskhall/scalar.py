@@ -367,8 +367,14 @@ class QuadraticScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._make(self.a * other.a + self.b * other.b * self.q,
-                          self.a * other.b + self.b * other.a)
+        # most operands are rational or rational multiples of sqrt(q):
+        # skip the zero halves
+        a, b, c, d = self.a, self.b, other.a, other.b
+        if not b:
+            return self._make(a * c, a * d if d else _ZERO)
+        if not d:
+            return self._make(a * c, b * c)
+        return self._make(a * c + b * d * self.q, a * d + b * c)
 
     __rmul__ = __mul__
 

@@ -379,25 +379,53 @@ class SurfaceConfig:
 _FAMILIES = "EFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_ints(obj, keys: Sequence[str], what: str) -> List:
+    """The values of ``keys`` in the JSON object ``obj``: integers, or for
+    the key "h" a list of integers.  Raises ValueError on any other shape."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object with keys {', '.join(keys)}")
+    out = []
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r}")
+        value = obj[key]
+        if key == "h":
+            ok = isinstance(value, list) and all(map(_is_int, value))
+        else:
+            ok = _is_int(value)
+        if not ok:
+            kind = "a list of integers" if key == "h" else "an integer"
+            raise ValueError(f"{what}: {key!r} must be {kind}, got {value!r}")
+        out.append(value)
+    return out
+
+
 def load_config(data: dict) -> SurfaceConfig:
     """Build and validate a SurfaceConfig from its JSON form.
 
     Expected shape: {"disks": [{"m": int, "h": [ints]}],
     "gluings": [{"left": i, "arc_i": a, "right": j, "arc_j": b}]}.
+    Any other shape raises ValueError.
     """
-    try:
-        raw_disks = data["disks"]
-    except (TypeError, KeyError):
+    raw_disks = data.get("disks") if isinstance(data, dict) else None
+    if not isinstance(raw_disks, list):
         raise ValueError("config must be an object with a 'disks' list")
     if not raw_disks:
         raise ValueError("config needs at least one disk")
     disks = []
     for idx, d in enumerate(raw_disks):
+        m, h = _json_ints(d, ("m", "h"), f"disk {idx}")
         fam = _FAMILIES[idx] if idx < len(_FAMILIES) else f"E{idx}"
-        disks.append(MarkedDisk(FoliationData(int(d["m"]), tuple(d["h"])), family=fam))
-    gluings = []
-    for g in data.get("gluings", ()):
-        gluings.append((int(g["left"]), int(g["arc_i"]), int(g["right"]), int(g["arc_j"])))
+        disks.append(MarkedDisk(FoliationData(m, tuple(h)), family=fam))
+    raw_gluings = data.get("gluings", [])
+    if not isinstance(raw_gluings, list):
+        raise ValueError("'gluings' must be a list")
+    gluings = [tuple(_json_ints(g, ("left", "arc_i", "right", "arc_j"), f"gluing {idx}"))
+               for idx, g in enumerate(raw_gluings)]
     cfg = SurfaceConfig(tuple(disks), tuple(gluings))
     cfg.validate()
     return cfg

@@ -214,3 +214,55 @@ def test_large_field_uses_bounded_memory(tmp_path):
         "  q=10007: 100160064*[M[1,2) + M[1,2) + M[2,3) + M[2,3)]"
         " + 10008*[M[1,2) + M[1,3) + M[2,3)]\n")
     assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
+
+
+@pytest.mark.parametrize("raw", [
+    {"disks": [{"m": 3, "h": [1, 0, 0]}] * 2, "gluings": [[0, 1, 2, 3]]},
+    {"disks": [{"m": 3}]},
+    {"disks": {"m": 3}},
+    {"disks": [{"m": 3, "h": [1, 0, 0]}] * 2,
+     "gluings": [{"left": 0, "arc_i": 3, "right": 1}]},
+], ids=["gluing-as-list", "disk-without-h", "disks-as-object", "gluing-without-arc_j"])
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "presentation", str(cfg), "--q", "2",
+                         "--shifts", "0..0")
+    assert code == 2
+    assert out == ""
+    assert "internal error" not in err
+
+
+CHAIN_OF_TRIANGLES = {
+    "disks": [{"m": 3, "h": [1, 0, 0]}] * 3,
+    "gluings": [{"left": 0, "arc_i": 3, "right": 1, "arc_j": 1},
+                {"left": 1, "arc_i": 3, "right": 2, "arc_j": 1}]}
+ANNULUS = {
+    "disks": [{"m": 4, "h": [0, 1, 0, 1]}] * 2,
+    "gluings": [{"left": 0, "arc_i": 1, "right": 1, "arc_j": 1},
+                {"left": 0, "arc_i": 3, "right": 1, "arc_j": 3}]}
+
+
+@pytest.mark.parametrize("raw", [CHAIN_OF_TRIANGLES, ANNULUS],
+                         ids=["three-triangles", "annulus"])
+def test_unchecked_presentation_is_never_a_pass(tmp_path, capsys, raw):
+    """No oracle checks these configs: without --emit-only the command is a
+    usage error; with it the status is "emitted", not "pass"."""
+    cfg = tmp_path / "surface.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "presentation", str(cfg), "--q", "2",
+                         "--shifts", "0..0")
+    assert code == 2
+    assert out == ""
+    assert "--emit-only" in err
+    code, out, _ = run(capsys, "presentation", str(cfg), "--emit-only",
+                       "--shifts", "0..0")
+    assert code == 0
+    assert out.startswith("presentation: emitted\n")
+    code, out, _ = run(capsys, "presentation", str(cfg), "--emit-only",
+                       "--shifts", "0..0", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["status"] == "emitted"
+    assert payload["reports"] == []
+    assert not payload["presentation"]["verifiable"]

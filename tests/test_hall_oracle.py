@@ -60,10 +60,21 @@ def full_complex_dims(cat, X, Y):
     return {n: d for n, d in dims.items() if d}
 
 
+def morphism_sweep(cat, X, Y):
+    """N_L for every cone class L, from one cone per morphism X -> Y of the
+    whole objects: the route ``cone_counts`` replaces."""
+    counts = {}
+    for w in cat.enumerate_dhoms(X, Y):
+        L = cat.cone(w)
+        counts[L] = counts.get(L, 0) + 1
+    return counts
+
+
 def check_products(q, m, shift):
     """Every constant of [X][Y], for X, Y translated by a common shift from
     lowest summand shift 0, against the two-sweep oracle run on the
-    translated objects themselves."""
+    translated objects themselves; and the support-pattern counts N_L
+    against the morphism sweep."""
     alg = HallAlgebra(m, q)
     cat = alg.category
     objs = objects(m, 2)
@@ -72,10 +83,8 @@ def check_products(q, m, shift):
         if dimension(X0) + dimension(Y0) > 3 or lowest_shift(X0, Y0) != 0:
             continue
         X, Y = X0.shifted(shift), Y0.shifted(shift)
-        counts = {}
-        for w in cat.enumerate_dhoms(Y.shifted(-1), X):
-            L = cat.cone(w)
-            counts[L] = counts.get(L, 0) + 1
+        counts = morphism_sweep(cat, Y.shifted(-1), X)
+        assert cat.cone_counts(Y.shifted(-1), X) == counts, (X, Y)
         product = alg._basis_product(X, Y)
         assert list(product) == sorted(counts, key=lambda o: o.summands)
         euler = sum((-1) ** (k % 2) * d for k, d in full_complex_dims(cat, Y, X).items())
@@ -102,6 +111,90 @@ def test_translated_products_match_two_sweep_oracle(q, m, shift):
     """The product cache sweeps the pair translated to lowest shift 0 and
     shifts each cone back; the constants must be those of the pair itself."""
     check_products(q, m, shift)
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_cone_counts_match_morphism_sweep(q):
+    """N_L counted over torus orbits of block-support patterns equals N_L
+    counted one morphism at a time, for dim X + dim Y <= 3, m = 2..4 and
+    summand shifts -1..2 (so components are memoised at several shifts)."""
+    pairs = 0
+    for m in (2, 3, 4):
+        cat = DerivedCategory(m, FiniteField(q))
+        objs = objects(m, 2, shifts=range(-1, 3))
+        for X, Y in itertools.product(objs, repeat=2):
+            if dimension(X) + dimension(Y) > 3:
+                continue
+            expected = morphism_sweep(cat, Y.shifted(-1), X)
+            assert cat.cone_counts(Y.shifted(-1), X) == expected, (X, Y)
+            pairs += 1
+    assert pairs > 2000
+
+
+#: products [X][Y] whose support graph on Hom(Y[-1], X) is a complete
+#: bipartite graph with a cycle, so the sweep needs unit values on
+#: non-tree edges: (m, X, Y, the q to sweep)
+CYCLIC = [
+    (2, [(1, 2, 0)] * 2, [(1, 2, 1)] * 2, (2, 3, 4, 5)),              # (S1+S1)(S1[1]+S1[1])
+    (3, [(1, 2, 0), (1, 3, 0)], [(1, 3, 1)] * 2, (2, 3, 4, 5)),       # (S1+P1)(P1[1]+P1[1])
+    (4, [(1, 2, 0), (2, 4, 1)], [(1, 2, 1), (1, 3, 1)], (2, 3, 4, 5)),  # four distinct
+    (2, [(1, 2, 0)] * 2, [(1, 2, 1)] * 3, (2, 3)),                    # K_{2,3}: two cycles
+]
+
+
+@pytest.mark.parametrize("m, xs, ys, q", [
+    (m, xs, ys, q) for (m, xs, ys, qs) in CYCLIC for q in qs])
+def test_cyclic_supports(m, xs, ys, q):
+    """Pattern counts on cyclic supports against the morphism sweep, and at
+    q <= 3 the structure constants against the two-sweep oracle."""
+    alg = HallAlgebra(m, q)
+    cat = alg.category
+    X, Y = DerivedObject.of(xs), DerivedObject.of(ys)
+    Y1 = Y.shifted(-1)
+    dim = cat.dhom_dims(Y1, X).get(0, 0)
+    assert dim == len(xs) * len(ys)
+    counts = cat.cone_counts(Y1, X)
+    assert counts == morphism_sweep(cat, Y1, X)
+    assert sum(counts.values()) == q ** dim
+    if q <= 3:
+        for L, n in counts.items():
+            assert alg.structure_constant(X, Y, L, n) == \
+                hall_oracle.structure_constant(alg, X, Y, L), (X, Y, L)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_square_matrix_support_counts_ranks(q):
+    """Hom(S1 + S1, S1 + S1) is M_2(F_q), and the cone of w depends on its
+    rank: 0 for |GL_2(F_q)| matrices, S1 + S1[1] for the (q+1)(q^2-1) of
+    rank 1, and S1 + S1 + S1[1] + S1[1] for w = 0."""
+    cat = DerivedCategory(2, FiniteField(q))
+    S = DerivedObject.of([(1, 2, 0)] * 2)
+    assert cat.cone_counts(S, S) == {
+        DerivedObject.zero(): (q * q - 1) * (q * q - q),
+        DerivedObject.of([(1, 2, 0), (1, 2, 1)]): (q + 1) * (q * q - 1),
+        DerivedObject.of([(1, 2, 0)] * 2 + [(1, 2, 1)] * 2): 1,
+    }
+
+
+def test_hom_between_indecomposables_is_at_most_one_dimensional():
+    """The fact that splits Hom(Y[-1], X) into one-dimensional blocks:
+    every entry of the pair table is <= 1, for m <= 7 and relative shifts
+    -3..3 (so every degree of every pair is covered, degree 0 included)."""
+    for m in range(2, 8):
+        cat = DerivedCategory(m, FiniteField(2))
+        intervals = [(a, b) for a in range(1, m) for b in range(a + 1, m + 1)]
+        for (a, b), (c, d) in itertools.product(intervals, repeat=2):
+            for r in range(-3, 4):
+                dims = cat._pair_dims(a, b, c, d, r)
+                assert all(dim == 1 for dim in dims.values()), (m, a, b, c, d, r, dims)
+        assert cat._pair_dims(1, 2, 1, 2, 0) == {0: 1}
+
+
+def test_block_of_dimension_two_is_refused(monkeypatch):
+    cat = DerivedCategory(2, FiniteField(2))
+    monkeypatch.setattr(cat, "_pair_dims", lambda *key: {0: 2})
+    with pytest.raises(ArithmeticError):
+        cat.cone_counts(DerivedObject.simple(1), DerivedObject.simple(1))
 
 
 @pytest.mark.parametrize("q", [2, 3])

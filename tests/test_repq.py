@@ -141,7 +141,7 @@ def test_dhom_matches_rep_level_hom_and_ext():
             dims = cat.dhom_dims(DerivedObject.of([(a, b, 0)]),
                                  DerivedObject.of([(c, d, 0)]))
             assert dims.get(0, 0) == hom_dim(M, N)
-            assert dims.get(1, 0) == ext1_space(M, N)[0]
+            assert dims.get(1, 0) == ext1_space(M, N)
             # hereditary: nothing outside degrees 0 and 1
             assert set(dims) <= {0, 1}
 

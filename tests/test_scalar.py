@@ -117,6 +117,20 @@ def test_arithmetic_matches_constructor(q, a, b, c, d):
         assert type(got.a) is Fraction and type(got.b) is Fraction
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@given(a=st.one_of(st.just(0), rationals), b=st.one_of(st.just(0), rationals),
+       c=st.one_of(st.just(0), rationals), d=st.one_of(st.just(0), rationals))
+def test_sparse_product_matches_full_formula(q, a, b, c, d):
+    """* skips the zero halves of its operands; the product must still be
+    (a + b r)(c + d r) = (ac + bd q) + (ad + bc) r with r = sqrt(q), in both
+    orders and with Fraction parts."""
+    x, y = QuadraticScalar(q, a, b), QuadraticScalar(q, c, d)
+    want = QuadraticScalar(q, x.a * y.a + x.b * y.b * q, x.a * y.b + x.b * y.a)
+    for got in (x * y, y * x):
+        assert (got.q, got.a, got.b) == (want.q, want.a, want.b)
+        assert type(got.a) is Fraction and type(got.b) is Fraction
+
+
 def test_constructor_validates_q():
     with pytest.raises(ValueError):
         QuadraticScalar(6, 1)
