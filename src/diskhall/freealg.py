@@ -13,6 +13,7 @@ relations is done by evaluating both sides in a Hall algebra.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Sequence, Tuple, Union
@@ -247,8 +248,11 @@ def zgen(i: int, n: int) -> NCPolynomial:
     return NCPolynomial.generator(Generator("z", i, n))
 
 
+@functools.lru_cache(maxsize=None)
 def zab(a: int, b: int, n: int, m: int) -> NCPolynomial:
-    """The arc element z_{(a,b),n} = [z_{b-1,n}, ..., z_{a+1,n}, z_{a,n}]_v."""
+    """The arc element z_{(a,b),n} = [z_{b-1,n}, ..., z_{a+1,n}, z_{a,n}]_v.
+
+    Memoised: polynomials are immutable, and a raised error is not cached."""
     if not (1 <= a < b <= m):
         raise ValueError(f"need 1 <= a < b <= m, got a={a}, b={b}, m={m}")
     return iterated_bracket([zgen(i, n) for i in range(b - 1, a - 1, -1)], V)

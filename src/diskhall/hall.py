@@ -33,12 +33,24 @@ pair translated to lowest summand shift 0 and shifts each cone back.
 
 Free-algebra expressions are evaluated here by sending each generator
 to a basis class and each Q(v) coefficient to Q(sqrt(q)).
+``evaluate_many`` evaluates a batch of polynomials, such as every side of
+a relation set, in one pass.  It walks the trie of the reversed words of
+all their terms depth first (as the sorted list of those words) and makes
+one left multiplication [g] * acc(parent) per trie node, so a word suffix
+shared by many terms is multiplied once and a single basis class stays on
+the left.  Inside the kernel an element is (d, ((L, A, B), ...)), the sum
+of (A + B sqrt(q))/d [L] with Python ints, reduced by one gcd per product
+(``_combine``); the product cache stores the same form.  QuadraticScalar
+coefficients are built only for the results, and ``hall_product`` goes
+through the same kernel.  The per-word route on QuadraticScalar is kept in
+``tests/hall_oracle.py``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .freealg import Generator, NCPolynomial
 from .repq import DerivedCategory, DerivedObject, FiniteField
@@ -141,6 +153,20 @@ class HallElement:
     __repr__ = __str__
 
 
+#: a Hall element inside the kernel: (d, ((L, A, B), ...)) stands for
+#: sum_L (A + B sqrt(q))/d [L], with ints, d > 0, no zero term and
+#: gcd(d, every A and B) = 1
+Numerators = Tuple[int, Tuple[Tuple[DerivedObject, int, int], ...]]
+
+
+def _common_denominator(pairs):
+    """Rationals (a, b) as (d, [(A, B)]) with a = A/d, b = B/d and d the
+    lcm of the denominators, so gcd(d, every A and B) = 1."""
+    d = math.lcm(*(x.denominator for ab in pairs for x in ab))
+    return d, [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+               for a, b in pairs]
+
+
 class HallAlgebra:
     """Computation context: fixed m and prime power q, with memo caches."""
 
@@ -149,7 +175,8 @@ class HallAlgebra:
         self.q = q
         self.field = FiniteField(q, modulus)
         self.category = DerivedCategory(m, self.field)
-        self._product_cache: Dict[Tuple, Dict[DerivedObject, QuadraticScalar]] = {}
+        # (X.summands, Y.summands) -> (d, ((L, A, B), ...))
+        self._product_cache: Dict[Tuple, Tuple] = {}
         # one instance per cone class, shared by every cached product
         self._objects: Dict[Tuple, DerivedObject] = {}
 
@@ -174,12 +201,13 @@ class HallAlgebra:
     # -- products ------------------------------------------------------------
 
     def _basis_product(self, X: DerivedObject, Y: DerivedObject):
-        """[X]*[Y] as a dict L -> coefficient, in the order of L.summands.
+        """[X]*[Y] as (d, ((L, A, B), ...)), the sum of (A + B sqrt(q))/d [L]
+        in the order of L.summands, reduced.
 
         The product is shift-equivariant, so only the pair translated to
         lowest summand shift 0 is swept; the result is shifted back and
         also stored under the caller's key, so a repeated call returns the
-        same dict.
+        same tuple.
         """
         key = (X.summands, Y.summands)
         cached = self._product_cache.get(key)
@@ -194,7 +222,8 @@ class HallAlgebra:
             if base is None:
                 base = self._product_cache[X.summands, Y.summands] = self._sweep(X, Y)
             # shifting every L by s keeps the order of the keys
-            out = {self._intern(L.shifted(s)): c for L, c in base.items()}
+            d, terms = base
+            out = (d, tuple((self._intern(L.shifted(s)), a, b) for L, a, b in terms))
         self._product_cache[key] = out
         return out
 
@@ -202,64 +231,115 @@ class HallAlgebra:
         twist = QuadraticScalar.sqrt_q_power(self.q, self.category.euler_form(Y, X))
         # N_L: how many w in Hom(Y[-1], X) complete to Y[-1] -> X -> L
         counts = self.category.cone_counts(Y.shifted(-1), X)
-        out: Dict[DerivedObject, QuadraticScalar] = {}
-        for L in sorted(counts, key=lambda o: o.summands):
-            c = self.structure_constant(X, Y, L, counts[L])
-            out[self._intern(L)] = twist * QuadraticScalar(self.q, c)
-        return out
+        objs = sorted(counts, key=lambda o: o.summands)
+        consts = [self.structure_constant(X, Y, L, counts[L]) for L in objs]
+        d, nums = _common_denominator([(twist.a * c, twist.b * c) for c in consts])
+        return d, tuple((self._intern(L), a, b) for L, (a, b) in zip(objs, nums))
 
     def _intern(self, L: DerivedObject) -> DerivedObject:
         return self._objects.setdefault(L.summands, L)
 
+    def _combine(self, d: int, parts) -> Numerators:
+        """(1/d) sum (a + b sqrt(q)) x over parts (a, b, x), x an element.
+
+        The one multiplication of the kernel: one gcd reduces the result."""
+        q = self.q
+        den = math.lcm(*(x[0] for _a, _b, x in parts))
+        out: Dict[DerivedObject, Tuple[int, int]] = {}
+        for a, b, (e, terms) in parts:
+            k = den // e
+            a, b = a * k, b * k
+            for L, c, f in terms:
+                x, y = a * c + b * f * q, a * f + b * c
+                old = out.get(L)
+                out[L] = (x, y) if old is None else (old[0] + x, old[1] + y)
+        d *= den
+        g = math.gcd(d, *(x for ab in out.values() for x in ab))
+        return d // g, tuple((L, a // g, b // g) for L, (a, b) in out.items() if a or b)
+
+    def _left_mul(self, X: DerivedObject, acc: Numerators) -> Numerators:
+        """[X] * acc."""
+        d, terms = acc
+        return self._combine(d, [(a, b, self._basis_product(X, Y)) for Y, a, b in terms])
+
+    def _scaled(self, c: QuadraticScalar, x: Numerators):
+        """c * x as a part for ``_combine``."""
+        e, [(a, b)] = _common_denominator([(c.a, c.b)])
+        return a, b, (e * x[0], x[1])
+
+    def _element(self, x: Numerators) -> HallElement:
+        d, terms = x
+        return HallElement(self.q, {L: QuadraticScalar(self.q, Fraction(a, d), Fraction(b, d))
+                                    for L, a, b in terms})
+
     def hall_product(self, x: HallElement, y: HallElement) -> HallElement:
         if x.q != self.q or y.q != self.q:
             raise ValueError("element/algebra q mismatch")
-        out: Dict[DerivedObject, QuadraticScalar] = {}
-        for X, cx in x.terms.items():
-            for Y, cy in y.terms.items():
-                c = cx * cy
-                for L, coeff in self._basis_product(X, Y).items():
-                    add = c * coeff
-                    out[L] = out[L] + add if L in out else add
-        return HallElement(self.q, out)
+        d, nums = _common_denominator([(c.a, c.b) for c in y.terms.values()])
+        acc = (d, tuple((Y, a, b) for Y, (a, b) in zip(y.terms, nums)))
+        return self._element(self._combine(1, [self._scaled(c, self._left_mul(X, acc))
+                                               for X, c in x.terms.items()]))
 
     # -- evaluation of free-algebra expressions ------------------------------
 
-    def evaluate(self, x: NCPolynomial, assign: Dict[Tuple[str, object], DerivedObject]
-                 ) -> HallElement:
-        """Evaluate an NCPolynomial.
+    def evaluate_many(self, polys: Sequence[NCPolynomial],
+                      assign: Dict[Tuple[str, object], DerivedObject]) -> List[HallElement]:
+        """Evaluate NCPolynomials in one pass over the trie of their reversed words.
 
         ``assign`` maps (family, index) to the shift-0 basis object of
         that generator; shifts are applied per generator occurrence.
         """
-        total = HallElement.zero(self.q)
-        for word, coeff in x.terms.items():
-            # multiply right-to-left: keeping a single basis class on the
-            # left makes the Hom-set enumerations inside the structure
-            # constants exponentially smaller for long words
-            acc = HallElement.unit(self.q)
-            for g in reversed(word):
+        # Words are multiplied right to left: keeping a single basis class
+        # on the left makes the Hom-set sweeps inside the structure
+        # constants exponentially smaller for long words.  Sorting the
+        # reversed words lays out their trie depth first, and stack[k] is
+        # the value of the first k letters of the current reversed word, so
+        # each trie node costs one left multiplication [g] * stack[k].
+        entries = sorted(((word[::-1], i, coeff) for i, p in enumerate(polys)
+                          for word, coeff in p.terms.items()),
+                         key=lambda e: [g.sort_key() for g in e[0]])
+        totals: List[Numerators] = [(1, ()) for _ in polys]
+        scalars = {}  # Q(v) coefficient -> its value at v = sqrt(q)
+        stack = [(1, ((DerivedObject.zero(), 1, 0),))]
+        prev = ()
+        for rev, i, coeff in entries:
+            k = 0
+            while k < len(prev) and k < len(rev) and prev[k] == rev[k]:
+                k += 1
+            del stack[k + 1:]
+            for g in rev[k:]:
                 base = assign.get((g.family, g.index))
                 if base is None:
                     raise ValueError(f"no assignment for generator {g}")
-                acc = self.hall_product(
-                    HallElement.basis(self.q, base.shifted(g.shift)), acc)
-            total = total + acc.scale(evaluate_at(coeff, self.q))
-        return total
+                stack.append(self._left_mul(base.shifted(g.shift), stack[-1]))
+            prev = rev
+            c = scalars.get(coeff)
+            if c is None:
+                c = scalars[coeff] = evaluate_at(coeff, self.q)
+            totals[i] = self._combine(1, [(1, 0, totals[i]), self._scaled(c, stack[-1])])
+        return [self._element(t) for t in totals]
+
+    def evaluate(self, x: NCPolynomial, assign: Dict[Tuple[str, object], DerivedObject]
+                 ) -> HallElement:
+        """Evaluate one NCPolynomial (see ``evaluate_many``)."""
+        return self.evaluate_many([x], assign)[0]
 
     def verify_identity(self, lhs: NCPolynomial, rhs: NCPolynomial,
                         assign, label: Optional[str] = None) -> dict:
         """Evaluate both sides; report pass/fail with expansions and diff."""
-        lv = self.evaluate(lhs, assign)
-        rv = self.evaluate(rhs, assign)
-        diff = lv - rv
-        return {
-            "label": label,
-            "passed": diff.is_zero(),
-            "lhs": str(lv),
-            "rhs": str(rv),
-            "diff": str(diff),
-        }
+        return identity_report(label, *self.evaluate_many([lhs, rhs], assign))
+
+
+def identity_report(label: Optional[str], lhs: HallElement, rhs: HallElement) -> dict:
+    """The report row of one evaluated identity lhs = rhs."""
+    diff = lhs - rhs
+    return {
+        "label": label,
+        "passed": diff.is_zero(),
+        "lhs": str(lhs),
+        "rhs": str(rhs),
+        "diff": str(diff),
+    }
 
 
 def simples_assignment(m: int) -> Dict[Tuple[str, object], DerivedObject]:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .freealg import (Generator, NCPolynomial, Relation, egen, iterated_bracket,
                       q_bracket, zab, zgen)
-from .hall import HallAlgebra, simples_assignment
+from .hall import HallAlgebra, identity_report, simples_assignment
 from .scalar import ONE, V
 from .surface import (FoliationData, GluingSpec, MarkedDisk, SurfaceConfig, angle,
                       load_config, normalized_gluing, span)
@@ -607,11 +607,13 @@ def verify_relation_set(rs: RelationSet, q_list: Sequence[int] = (2, 3)) -> dict
     expanded = [(r.label, expand(r.lhs), expand(r.rhs)) for r in rs.relations]
     assign = simples_assignment(rs.oracle_m)
 
+    sides = [p for _label, lhs, rhs in expanded for p in (lhs, rhs)]
     results = []
     for q in q_list:
-        alg = shared_algebra(rs.oracle_m, q)
-        results += [dict(alg.verify_identity(lhs, rhs, assign, label), q=q)
-                    for label, lhs, rhs in expanded]
+        # one pass over the words of every side
+        values = shared_algebra(rs.oracle_m, q).evaluate_many(sides, assign)
+        results += [dict(identity_report(label, values[2 * k], values[2 * k + 1]), q=q)
+                    for k, (label, _lhs, _rhs) in enumerate(expanded)]
     failed = [r for r in results if not r["passed"]]
     return {
         "name": rs.name,

@@ -109,6 +109,12 @@ class RationalFunctionV:
                 raise ZeroDivisionError("division by zero")
             if not num:
                 den = (_ONE,)
+            elif not any(den[:-1]):
+                # Laurent denominator c*v^k: gcd(num, v^k) = v^min(k, ord num)
+                k = len(den) - 1
+                j = min(k, next(i for i, c in enumerate(num) if c))
+                num = _pscale(num[j:], 1 / den[-1]) if den[-1] != 1 else num[j:]
+                den = (_ZERO,) * (k - j) + (_ONE,)
             else:
                 g = _pgcd(num, den)
                 if len(g) > 1:

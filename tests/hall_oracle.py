@@ -1,6 +1,12 @@
-"""The two-sweep route to Hall structure constants, kept as a test oracle.
+"""Routes the package replaced, kept as test oracles.
 
-The package computes every F^L_{X,Y} of a product from one sweep over
+Per-word evaluation (``evaluate``, ``hall_product``): each word is
+multiplied right to left on its own, with ``QuadraticScalar`` coefficients
+throughout.  The package evaluates a batch of polynomials in one walk over
+the trie of their words, on integer numerators over one denominator.
+
+Two-sweep structure constants (``structure_constant``, ``aut_count``): the
+package computes every F^L_{X,Y} of a product from one sweep over
 Hom(Y[-1], X) by the derived Riedtmann formula, and counts automorphisms
 in closed form.  This module keeps the route those replaced:
 
@@ -15,7 +21,43 @@ on small objects.
 
 from fractions import Fraction
 
+from diskhall.hall import HallElement
 from diskhall.repq import columns, mat_rank, solve, zeros
+from diskhall.scalar import QuadraticScalar, evaluate_at
+
+
+def basis_product(alg, X, Y):
+    """[X]*[Y] as a dict L -> QuadraticScalar, in the package's key order."""
+    d, terms = alg._basis_product(X, Y)
+    return {L: QuadraticScalar(alg.q, Fraction(a, d), Fraction(b, d))
+            for L, a, b in terms}
+
+
+def hall_product(alg, x, y):
+    """x * y by the QuadraticScalar loop over pairs of basis classes."""
+    out = {}
+    for X, cx in x.terms.items():
+        for Y, cy in y.terms.items():
+            c = cx * cy
+            for L, coeff in basis_product(alg, X, Y).items():
+                add = c * coeff
+                out[L] = out[L] + add if L in out else add
+    return HallElement(alg.q, out)
+
+
+def evaluate(alg, x, assign):
+    """An NCPolynomial evaluated one word at a time, right to left."""
+    q = alg.q
+    total = HallElement.zero(q)
+    for word, coeff in x.terms.items():
+        acc = HallElement.unit(q)
+        for g in reversed(word):
+            base = assign.get((g.family, g.index))
+            if base is None:
+                raise ValueError(f"no assignment for generator {g}")
+            acc = hall_product(alg, HallElement.basis(q, base.shifted(g.shift)), acc)
+        total = total + acc.scale(evaluate_at(coeff, q))
+    return total
 
 
 def aut_count(cat, X) -> int:

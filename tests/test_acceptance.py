@@ -19,12 +19,13 @@ from diskhall.presentation import (SELF_EXT, alpha_map, beta_image, beta_map,
                                    quiver_relations, s_relations, shared_algebra,
                                    verify_relation_set)
 from diskhall.repq import DerivedCategory, DerivedObject, FiniteField, barcode, \
-    direct_sum, interval_rep, zero_rep
+    interval_rep, zero_rep
 from diskhall.scalar import ONE, V, QuadraticScalar, evaluate_at
 from diskhall.surface import (FoliationData, GluingSpec, GradedChord, MarkedDisk,
                               glue, skein_commutator)
 from diskhall.cli import _local_skein_relations
 
+from rep_oracle import direct_sum
 from test_repq import base_change, random_invertible, random_rep
 
 

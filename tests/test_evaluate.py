@@ -1,0 +1,158 @@
+"""The evaluation kernel against the per-word oracle.
+
+``HallAlgebra.evaluate_many`` walks the trie of the reversed words of a
+batch of polynomials and multiplies on integer numerators over one
+denominator; ``hall_product`` uses the same left multiplication.  Both are
+checked against ``hall_oracle``, which multiplies each word on its own with
+``QuadraticScalar`` coefficients, at q = 2, 3 (where sqrt(q) is irrational)
+and q = 4, 9 (where the sqrt(q) half folds into the rational half).
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hall_oracle
+from diskhall.cli import _chord_skein_set
+from diskhall.freealg import Generator, NCPolynomial
+from diskhall.hall import HallAlgebra, HallElement, simples_assignment
+from diskhall.presentation import SELF_EXT, minimal_disk_relations, quiver_relations
+from diskhall.repq import DerivedObject
+from diskhall.scalar import ONE, V, QuadraticScalar, RationalFunctionV
+from diskhall.surface import FoliationData, MarkedDisk
+
+QS = (2, 3, 4, 9)
+
+RELATION_SETS = {
+    "quiver-m3": lambda: quiver_relations(3, (-1, 1)),
+    "quiver-m4": lambda: quiver_relations(4, (0, 1)),
+    "minimal-disk-m4": lambda: minimal_disk_relations(
+        MarkedDisk(FoliationData(4, (0, 1, 0, 1))), (0, 1)),
+    "chord-skein-m4": lambda: _chord_skein_set(4, (0, 1)),
+}
+
+
+def sides(rs):
+    """Both sides of every relation, expanded into quiver generators."""
+    polys = [p for r in rs.relations for p in (r.lhs, r.rhs)]
+    if rs.expand is None:
+        return polys
+    return [p.substitute(rs.expand) for p in polys]
+
+
+def is_reduced(d, numerators):
+    return d > 0 and math.gcd(d, *numerators) == 1
+
+
+def assert_cache_reduced(alg):
+    assert alg._product_cache
+    for d, terms in alg._product_cache.values():
+        assert is_reduced(d, [v for _L, a, b in terms for v in (a, b)])
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("name", RELATION_SETS)
+def test_relation_sets_match_per_word_oracle(name, q):
+    rs = RELATION_SETS[name]()
+    polys = sides(rs)
+    assign = simples_assignment(rs.oracle_m)
+    alg = HallAlgebra(rs.oracle_m, q)
+    values = alg.evaluate_many(polys, assign)
+    assert values == [hall_oracle.evaluate(alg, p, assign) for p in polys]
+    assert [str(v) for v in values] == [str(hall_oracle.evaluate(alg, p, assign))
+                                        for p in polys]
+    assert [alg.evaluate(p, assign) for p in polys[:6]] == values[:6]
+    assert_cache_reduced(alg)
+
+
+def test_walk_accumulators_are_reduced(monkeypatch):
+    """Every left multiplication of the walk returns (d, ((L, A, B), ...))
+    with d > 0, gcd(d, every A and B) = 1 and no zero term."""
+    rs = RELATION_SETS["minimal-disk-m4"]()
+    alg = HallAlgebra(rs.oracle_m, 2)
+    seen = []
+    left_mul = alg._left_mul
+
+    def recorded(X, acc):
+        out = left_mul(X, acc)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(alg, "_left_mul", recorded)
+    alg.evaluate_many(sides(rs), simples_assignment(rs.oracle_m))
+    assert len(seen) > 100
+    for d, terms in seen:
+        assert all(a or b for _L, a, b in terms)
+        assert is_reduced(d, [v for _L, a, b in terms for v in (a, b)])
+    assert_cache_reduced(alg)
+
+
+# -- random polynomials and elements ----------------------------------------
+
+ALGEBRAS = {q: HallAlgebra(3, q) for q in QS}
+ASSIGN = simples_assignment(3)
+GENERATORS = [Generator("z", i, n) for i in (1, 2) for n in (-1, 0, 1)]
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+coefficients = st.one_of(
+    st.integers(-5, 5).map(RationalFunctionV.from_rational),
+    rationals.map(RationalFunctionV.from_rational),
+    # Laurent and non-Laurent Q(v) coefficients, none with a pole at sqrt(q)
+    st.sampled_from([V, -(V ** -3), SELF_EXT, (V + 2) / (V ** 2 + ONE),
+                     (V ** 2 - ONE) / (V + 3), Fraction(-3, 4) * (V - V ** -1)]),
+)
+words = st.lists(st.sampled_from(GENERATORS), max_size=4).map(tuple)
+polynomials = st.dictionaries(words, coefficients, max_size=6).map(NCPolynomial)
+
+objects = st.lists(st.tuples(st.integers(1, 2), st.integers(0, 1), st.integers(-1, 1)),
+                   max_size=2).map(
+    lambda parts: DerivedObject.of([(a, a + 1 + k, n) if a + 1 + k <= 3 else (a, 3, n)
+                                    for a, k, n in parts]))
+
+
+def elements(q):
+    return st.dictionaries(objects, st.tuples(rationals, rationals), max_size=3).map(
+        lambda terms: HallElement(q, {X: QuadraticScalar(q, a, b)
+                                      for X, (a, b) in terms.items()}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(QS), polys=st.lists(polynomials, min_size=1, max_size=3))
+def test_random_polynomials_match_per_word_oracle(q, polys):
+    alg = ALGEBRAS[q]
+    values = alg.evaluate_many(polys, ASSIGN)
+    assert values == [hall_oracle.evaluate(alg, p, ASSIGN) for p in polys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.sampled_from(QS))
+def test_random_products_match_oracle_loop(data, q):
+    alg = ALGEBRAS[q]
+    x, y = data.draw(elements(q)), data.draw(elements(q))
+    assert alg.hall_product(x, y) == hall_oracle.hall_product(alg, x, y)
+
+
+def test_empty_word_and_zero_polynomial():
+    alg = ALGEBRAS[2]
+    unit = HallElement.unit(2)
+    values = alg.evaluate_many([NCPolynomial.scalar(SELF_EXT), NCPolynomial.zero(),
+                                NCPolynomial.one()], ASSIGN)
+    # SELF_EXT = v^-1/(v^2 - 1) at v = sqrt(2) is sqrt(2)/2
+    assert values == [unit.scale(QuadraticScalar(2, 0, Fraction(1, 2))),
+                      HallElement.zero(2), unit]
+
+
+def test_shared_suffix_is_multiplied_once(monkeypatch):
+    """z1*z2*z1 and z2*z2*z1 share the suffix z2*z1: four left
+    multiplications, not six."""
+    alg = HallAlgebra(3, 2)
+    calls = []
+    left_mul = alg._left_mul
+    monkeypatch.setattr(alg, "_left_mul", lambda X, acc: calls.append(X) or left_mul(X, acc))
+    z = [Generator("z", i, 0) for i in (1, 2)]
+    polys = [NCPolynomial.word((z[0], z[1], z[0])), NCPolynomial.word((z[1], z[1], z[0]))]
+    values = alg.evaluate_many(polys, ASSIGN)
+    assert len(calls) == 4
+    assert values == [hall_oracle.evaluate(alg, p, ASSIGN) for p in polys]

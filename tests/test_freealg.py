@@ -87,6 +87,15 @@ def test_zab_expansion():
         zab(3, 2, 0, 4)
 
 
+def test_zab_is_memoised_and_rejects_bad_arguments_on_every_call():
+    assert zab(1, 4, 2, 5) is zab(1, 4, 2, 5)
+    assert zab(1, 4, 2, 5) == q_bracket(zgen(3, 2), zab(1, 3, 2, 5), V)
+    for _ in range(3):
+        for bad in [(3, 2, 0, 4), (0, 2, 0, 4), (1, 5, 0, 4), (2, 2, 1, 4)]:
+            with pytest.raises(ValueError):
+                zab(*bad)
+
+
 def test_zarc_stays_symbolic_until_expanded():
     p = zarc(1, 3, 0) * zarc(2, 4, -1)
     for w in p.terms:

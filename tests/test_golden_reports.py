@@ -1,0 +1,41 @@
+"""Golden reports: SHA-256 digests of the JSON reports of five fast CLI
+commands that the benchmark workloads do not cover.  The digests were
+recorded from the code before the evaluation layer moved to a trie walk on
+integer numerators; a change to the evaluation route must leave them as
+they are."""
+
+import hashlib
+import json
+
+import pytest
+
+from diskhall.cli import main
+
+GLUED = {"disks": [{"m": 3, "h": [1, 0, 0]}, {"m": 3, "h": [1, 0, 0]}],
+         "gluings": [{"left": 0, "arc_i": 3, "right": 1, "arc_j": 1}]}
+
+GOLDEN = [
+    (["verify-quiver", "--m", "3", "--shifts", "-1..1", "--q", "3,9"],
+     "33e3626fc0a9728d26310730bee3f3ccebb550cfee170d2e91c01dc16122e161"),
+    (["multiply", "z[1,0] z[1,0] z[2,0] z[2,0]", "z[1,1] z[2,1] z[1,1] z[2,0]",
+      "--m", "3", "--q", "27"],
+     "cf32d040b713270e0912b1ad241d2f68a71301265a8522288b190c2f7d8ba5fc"),
+    (["presentation", "{config}", "--q", "4", "--shifts", "0..0"],
+     "35726a8cd98c841f9207b3af372b37ba38b09abff394958f14fc9afbf5c87c4c"),
+    (["multiply", "-3/2 z[(1,3),0] z[2,1]", "5 z[(2,4),-1] z[1,0]", "--m", "4",
+      "--q", "2,9"],
+     "477fcb15aa62545e3ac49bfa0085bdc3fcc489318495d396810bb1542523a2b0"),
+    (["verify-disk", "--m", "4", "--h", "1,0,1,0", "--shifts", "0..1", "--q", "3,4"],
+     "7758de4677909191715db4eb55781351922ad4994a08c689ebf61acf014344fe"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[a[0] + str(i) for i, (a, _d)
+                                                       in enumerate(GOLDEN)])
+def test_report_digest(tmp_path, capsys, argv, digest):
+    config = tmp_path / "glued.json"
+    config.write_text(json.dumps(GLUED))
+    argv = [str(config) if a == "{config}" else a for a in argv]
+    assert main(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

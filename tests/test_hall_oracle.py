@@ -12,6 +12,7 @@ complex of the whole objects.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -85,7 +86,9 @@ def check_products(q, m, shift):
         X, Y = X0.shifted(shift), Y0.shifted(shift)
         counts = morphism_sweep(cat, Y.shifted(-1), X)
         assert cat.cone_counts(Y.shifted(-1), X) == counts, (X, Y)
-        product = alg._basis_product(X, Y)
+        d, terms = alg._basis_product(X, Y)
+        assert d > 0 and math.gcd(d, *(v for _L, a, b in terms for v in (a, b))) == 1
+        product = hall_oracle.basis_product(alg, X, Y)
         assert list(product) == sorted(counts, key=lambda o: o.summands)
         euler = sum((-1) ** (k % 2) * d for k, d in full_complex_dims(cat, Y, X).items())
         twist = QuadraticScalar.sqrt_q_power(q, euler)

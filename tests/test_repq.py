@@ -10,8 +10,9 @@ import random
 import pytest
 
 from diskhall.repq import (DerivedCategory, DerivedObject, FiniteField, QuiverRep,
-                           barcode, direct_sum, ext1_space, hom_dim, identity,
-                           interval_rep, mat_mul, mat_rank, rref, zero_rep)
+                           barcode, identity, interval_rep, mat_mul, mat_rank, rref,
+                           zero_rep)
+from rep_oracle import direct_sum, ext1_space, hom_dim
 
 
 # -- field axioms (exhaustive: the fields are tiny) --------------------------

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from diskhall.presentation import SELF_EXT
 from diskhall.scalar import (ONE, Q, V, ZERO, PoleError, QuadraticScalar,
-                             RationalFunctionV, evaluate_at, is_prime_power,
-                             prime_power_decompose)
+                             RationalFunctionV, _pdivmod, _pgcd, _poly, _pscale,
+                             evaluate_at, is_prime_power, prime_power_decompose)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -64,6 +65,40 @@ def test_field_inverse_roundtrip():
     x = (V ** 3 - 2 * V + ONE) / (V ** 2 + 7)
     assert x * x.inverse() == ONE
     assert ONE / x == x.inverse()
+
+
+def general_canonical(num, den):
+    """The canonical form by the general route: divide by the monic gcd,
+    then make the denominator monic."""
+    num, den = _poly(num), _poly(den)
+    if not num:
+        return (), (Fraction(1),)
+    g = _pgcd(num, den)
+    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    return _pscale(num, 1 / den[-1]), _pscale(den, 1 / den[-1])
+
+
+polys = st.lists(rationals, max_size=5)
+laurent = st.tuples(st.integers(0, 4), rationals.filter(bool)).map(
+    lambda kc: [0] * kc[0] + [kc[1]])
+
+
+@given(num=polys, den=st.one_of(laurent, polys.filter(lambda p: any(p))))
+def test_laurent_fast_path_matches_general_route(num, den):
+    """A denominator c*v^k takes the fast path (strip v^min(k, ord num));
+    every other one the gcd route.  Both must give the general canonical
+    form: monic denominator coprime to the numerator."""
+    x = RationalFunctionV(num, den)
+    assert (x.num, x.den) == general_canonical(num, den)
+
+
+def test_laurent_fast_path_examples():
+    assert (RationalFunctionV([0, 0, 3], [0, 0, 0, 2]).num,
+            RationalFunctionV([0, 0, 3], [0, 0, 0, 2]).den) == ((Fraction(3, 2),), (0, 1))
+    assert RationalFunctionV([0, 0, 0, 5], [0, -5]) == -(V * V)
+    x = SELF_EXT
+    assert (x.num, x.den) == general_canonical((1,), (0, -1, 0, 1))
+    assert (x.num, x.den) == ((1,), (0, -1, 0, 1))
 
 
 def test_str_is_readable():
