@@ -22,15 +22,15 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .freealg import Generator, NCPolynomial, iterated_bracket, q_bracket, zab, zgen
+from .freealg import NCPolynomial, zab, zgen
 from .hall import simples_assignment
 from .presentation import (cyclic_family, minimal_disk_relations, naive_presentation,
-                           psi_map, quiver_relations, s_relations, shared_algebra,
-                           verify_relation_set)
-from .scalar import V, is_prime_power
-from .surface import (FoliationData, GradedChord, MarkedDisk, boundary_skein,
-                      crossing, load_config, self_skein, skein_commutator,
-                      standard_form)
+                           quiver_relations, shared_algebra, verify_relation_set)
+# perfbench/hooks.py traces the skein sets under these names in this module
+from .presentation import chord_skein_set as _chord_skein_set
+from .presentation import local_skein_relations as _local_skein_relations
+from .scalar import is_prime_power
+from .surface import FoliationData, MarkedDisk, load_config
 
 
 EXIT_CODES = """exit codes:
@@ -91,11 +91,18 @@ def _emit(payload: dict, fmt: str, out_path):
         for extra in payload.get("lines", []):
             lines.append(f"  {extra}")
         text = "\n".join(lines) + "\n"
-    if out_path:
+    _write(text, out_path)
+
+
+def _write(text: str, out_path):
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as ex:
+        raise UsageError(f"cannot write {out_path}: {ex.strerror or ex}")
 
 
 def _finish(payload, args):
@@ -134,70 +141,6 @@ def cmd_verify_disk(args) -> int:
     for i in range(1, args.m + 1):
         reports.append(verify_relation_set(cyclic_family(disk, i), args.q))
     return _finish(_report_payload("verify-disk", reports), args)
-
-
-def _local_skein_relations(window=(-2, 3)):
-    """The two-bracket commutator on the standard 4-gon, all suspensions.
-
-    With X = [E_{2,1}, E_{1,h(1)}]_v and Y = [E_{3,1-h(2)}, E_{2,0}]_v,
-    the commutator [X, s^l Y]_1 picks out exactly the l = 0 and l = 1
-    resolutions.
-    """
-    from .freealg import Relation, egen
-    disk = standard_form()
-    h = disk.foliation
-    X = q_bracket(egen(2, 1), egen(1, h.at(1)), V)
-    Y = q_bracket(egen(3, 1 - h.at(2)), egen(2, 0), V)
-    coeff = V - V ** -1
-    rels = []
-    for l in range(window[0], window[1] + 1):
-        if l == 1:
-            rhs = (egen(2, 1) * egen(4, h.at(4) + h.at(1))).scale(coeff)
-        elif l == 0:
-            rhs = -(egen(1, h.at(1)) * egen(3, 1 - h.at(2))).scale(coeff)
-        else:
-            rhs = NCPolynomial.zero()
-        rels.append(Relation(f"local skein l={l}",
-                             q_bracket(X, Y.suspend(l), 1), rhs))
-    from .presentation import RelationSet, _used_generators
-    return RelationSet("local skein (standard form)", _used_generators(rels),
-                       tuple(rels), oracle_m=4, expand=psi_map(disk))
-
-
-def _chord_skein_set(m: int, window=(-2, 3)):
-    from .presentation import RelationSet, _used_generators
-    rels = []
-    seen = set()
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            for c in range(b + 1, m + 1):
-                for d in range(c + 1, m + 1):
-                    for k in range(window[0], window[1] + 1):
-                        r = skein_commutator(GradedChord(a, c, k), GradedChord(b, d, 0))
-                        rels.append(r)
-    # boundary pairs on one shared interval, shift differences across the window
-    chords = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
-    for (a, b) in chords:
-        for (c, d) in chords:
-            x0, y0 = GradedChord(a, b, 0), GradedChord(c, d, 0)
-            if crossing(x0, y0) != "shared-endpoint-interval":
-                continue
-            for k in range(window[0], window[1] + 1):
-                r = boundary_skein(GradedChord(a, b, k), y0)
-                if r.label in seen:
-                    continue
-                seen.add(r.label)
-                rels.append(r)
-    for (a, b) in chords:
-        for k in range(window[0], window[1] + 1):
-            r = self_skein(GradedChord(a, b, 0), GradedChord(a, b, k))
-            if r.label not in seen:
-                seen.add(r.label)
-                rels.append(r)
-    from .freealg import expand_arcs
-    return RelationSet(f"chord skein m={m}", _used_generators(rels), tuple(rels),
-                       oracle_m=m, expand=lambda g: expand_arcs(
-                           NCPolynomial.generator(g), m))
 
 
 def cmd_verify_skein(args) -> int:
@@ -295,12 +238,7 @@ def cmd_presentation(args) -> int:
                  f"  generators: {len(rs.generators)}  relations: {len(rs.relations)}"
                  f"  verifiable: {rs.verifiable}"]
         lines += [f"  {r}" for r in rs.relations]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     else:
         _emit(payload, "json", args.out)
     return 1 if payload["status"] == "fail" else 0

@@ -31,18 +31,30 @@ constants, a(Z), {X,Y} and the Euler form are shift-invariant and
 [X[k]]*[Y[k]] = ([X]*[Y])[k].  The product cache therefore sweeps only the
 pair translated to lowest summand shift 0 and shifts each cone back.
 
+The sweep computes in ints: a(Z) is memoised modulo the shift as
+(|Aut Z|, e), meaning |Aut Z| q^e, each constant is n q^t / d, and the
+twist's sqrt(q) goes to the B half, or into A when q is a square; one gcd
+reduces the result.  ``structure_constant`` is a Fraction view of the
+same weights.
+
 Free-algebra expressions are evaluated here by sending each generator
 to a basis class and each Q(v) coefficient to Q(sqrt(q)).
 ``evaluate_many`` evaluates a batch of polynomials, such as every side of
 a relation set, in one pass.  It walks the trie of the reversed words of
-all their terms depth first (as the sorted list of those words) and makes
-one left multiplication [g] * acc(parent) per trie node, so a word suffix
-shared by many terms is multiplied once and a single basis class stays on
-the left.  Inside the kernel an element is (d, ((L, A, B), ...)), the sum
-of (A + B sqrt(q))/d [L] with Python ints, reduced by one gcd per product
+all their terms depth first (as the sorted list of those words), so a word
+suffix shared by many terms is evaluated once.  A relation set's
+generators are not quiver generators but have images in them (boundary
+arcs, chords); the polynomials are not expanded.  At a trie node for g the
+walk applies g's image: each word of the image, compiled once per call as
+a sorted program of reversed words, is multiplied onto the parent value
+letter by letter, right to left, so a single basis class stays on the left
+of every product, and the words are summed with their coefficients.
+Inside the kernel an element is (d, ((L, A, B), ...)), the sum of
+(A + B sqrt(q))/d [L] with Python ints, reduced by one gcd per product
 (``_combine``); the product cache stores the same form.  QuadraticScalar
 coefficients are built only for the results, and ``hall_product`` goes
-through the same kernel.  The per-word route on QuadraticScalar is kept in
+through the same kernel.  The per-word route on QuadraticScalar and the
+route that expands every polynomial in Q(v) first are kept in
 ``tests/hall_oracle.py``.
 """
 
@@ -50,7 +62,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .freealg import Generator, NCPolynomial
 from .repq import DerivedCategory, DerivedObject, FiniteField
@@ -167,6 +179,26 @@ def _common_denominator(pairs):
                for a, b in pairs]
 
 
+def _trie_order(items):
+    """(reversed word, payload) pairs in the depth-first order of the trie of
+    their words, i.e. sorted, as (k, word, payload) with k the length of the
+    common prefix with the word before."""
+    prev = ()
+    for rev, payload in sorted(items, key=lambda e: [g.sort_key() for g in e[0]]):
+        k = 0
+        while k < len(prev) and k < len(rev) and prev[k] == rev[k]:
+            k += 1
+        yield k, rev, payload
+        prev = rev
+
+
+def _part(c: Tuple[int, int, int], x: Numerators):
+    """c * x as a part for ``HallAlgebra._combine``, c = (A, B, d) meaning
+    (A + B sqrt(q))/d."""
+    a, b, d = c
+    return a, b, (d * x[0], x[1])
+
+
 class HallAlgebra:
     """Computation context: fixed m and prime power q, with memo caches."""
 
@@ -179,24 +211,51 @@ class HallAlgebra:
         self._product_cache: Dict[Tuple, Tuple] = {}
         # one instance per cone class, shared by every cached product
         self._objects: Dict[Tuple, DerivedObject] = {}
+        # Z.summands at lowest shift 0 -> (|Aut Z|, e) with a(Z) = |Aut Z| q^e
+        self._a_cache: Dict[Tuple, Tuple[int, int]] = {}
 
     # -- scalar-valued ingredients ------------------------------------------
 
+    def _brace_exponent(self, X: DerivedObject, Y: DerivedObject) -> int:
+        """e with {X,Y} = q^e."""
+        dims = self.category.dhom_dims(X, Y)
+        return sum((-1) ** n * dims.get(-n, 0) for n in range(1, 1 + max(
+            (-k for k in dims if k < 0), default=0)))
+
     def braces(self, X: DerivedObject, Y: DerivedObject) -> Fraction:
         """{X,Y} = prod_{n>0} |Ext^{-n}(X,Y)|^{(-1)^n} as an exact rational."""
-        dims = self.category.dhom_dims(X, Y)
-        exponent = sum((-1) ** n * dims.get(-n, 0) for n in range(1, 1 + max(
-            (-k for k in dims if k < 0), default=0)))
-        return Fraction(self.q) ** exponent
+        return Fraction(self.q) ** self._brace_exponent(X, Y)
+
+    def _a(self, Z: DerivedObject) -> Tuple[int, int]:
+        """a(Z) = |Aut Z| {Z,Z} as (|Aut Z|, e), meaning |Aut Z| q^e.
+
+        Both factors are shift-invariant, so the memo is keyed on Z
+        translated to lowest summand shift 0."""
+        s = min((n for (_a, _b, n) in Z.summands), default=0)
+        key = Z.shifted(-s).summands if s else Z.summands
+        out = self._a_cache.get(key)
+        if out is None:
+            out = self._a_cache[key] = (self.category.aut_count(Z),
+                                        self._brace_exponent(Z, Z))
+        return out
+
+    def _weights(self, X: DerivedObject, Y: DerivedObject, counts: Dict):
+        """The structure constants F^L_{X,Y} of the L in ``counts`` (L -> N_L)
+        as d and [(L, n, t)], meaning F^L_{X,Y} = n q^t / d, with ints."""
+        ax, ex = self._a(X)
+        ay, ey = self._a(Y)
+        e = ex + ey + self.category.dhom_dims(Y, X).get(0, 0) + self._brace_exponent(Y, X)
+        out = []
+        for L, count in counts.items():
+            al, el = self._a(L)
+            out.append((L, count * al, el - e))
+        return ax * ay, out
 
     def structure_constant(self, X: DerivedObject, Y: DerivedObject,
                            L: DerivedObject, count: int) -> Fraction:
         """F^L_{X,Y} from count = #{w in Hom(Y[-1], X) : cone(w) = L}."""
-        def a(Z):
-            return self.category.aut_count(Z) * self.braces(Z, Z)
-
-        hom_yx = self.category.dhom_dims(Y, X).get(0, 0)
-        return count * a(L) / (a(X) * a(Y) * self.q ** hom_yx * self.braces(Y, X))
+        d, [(_L, n, t)] = self._weights(X, Y, {L: count})
+        return Fraction(n, d) * Fraction(self.q) ** t
 
     # -- products ------------------------------------------------------------
 
@@ -228,13 +287,22 @@ class HallAlgebra:
         return out
 
     def _sweep(self, X: DerivedObject, Y: DerivedObject):
-        twist = QuadraticScalar.sqrt_q_power(self.q, self.category.euler_form(Y, X))
+        q = self.q
         # N_L: how many w in Hom(Y[-1], X) complete to Y[-1] -> X -> L
         counts = self.category.cone_counts(Y.shifted(-1), X)
-        objs = sorted(counts, key=lambda o: o.summands)
-        consts = [self.structure_constant(X, Y, L, counts[L]) for L in objs]
-        d, nums = _common_denominator([(twist.a * c, twist.b * c) for c in consts])
-        return d, tuple((self._intern(L), a, b) for L, (a, b) in zip(objs, nums))
+        d, weights = self._weights(X, Y, counts)
+        # the twist q^{<Y,X>/2} = q^half sqrt(q)^odd
+        half, odd = divmod(self.category.euler_form(Y, X), 2)
+        low = min(0, min((t for _L, _n, t in weights), default=0) + half)
+        d *= q ** -low
+        root = math.isqrt(q)
+        fold = odd and root * root == q  # sqrt(q) is an integer: fold it into A
+        nums = sorted((L.summands, L, n * (root if fold else 1) * q ** (t + half - low))
+                      for L, n, t in weights)
+        g = math.gcd(d, *(n for _k, _L, n in nums))
+        if odd and not fold:
+            return d // g, tuple((self._intern(L), 0, n // g) for _k, L, n in nums)
+        return d // g, tuple((self._intern(L), n // g, 0) for _k, L, n in nums)
 
     def _intern(self, L: DerivedObject) -> DerivedObject:
         return self._objects.setdefault(L.summands, L)
@@ -262,11 +330,6 @@ class HallAlgebra:
         d, terms = acc
         return self._combine(d, [(a, b, self._basis_product(X, Y)) for Y, a, b in terms])
 
-    def _scaled(self, c: QuadraticScalar, x: Numerators):
-        """c * x as a part for ``_combine``."""
-        e, [(a, b)] = _common_denominator([(c.a, c.b)])
-        return a, b, (e * x[0], x[1])
-
     def _element(self, x: Numerators) -> HallElement:
         d, terms = x
         return HallElement(self.q, {L: QuadraticScalar(self.q, Fraction(a, d), Fraction(b, d))
@@ -277,47 +340,87 @@ class HallAlgebra:
             raise ValueError("element/algebra q mismatch")
         d, nums = _common_denominator([(c.a, c.b) for c in y.terms.values()])
         acc = (d, tuple((Y, a, b) for Y, (a, b) in zip(y.terms, nums)))
-        return self._element(self._combine(1, [self._scaled(c, self._left_mul(X, acc))
-                                               for X, c in x.terms.items()]))
+        e, nums = _common_denominator([(c.a, c.b) for c in x.terms.values()])
+        return self._element(self._combine(1, [_part((a, b, e), self._left_mul(X, acc))
+                                               for X, (a, b) in zip(x.terms, nums)]))
 
     # -- evaluation of free-algebra expressions ------------------------------
 
     def evaluate_many(self, polys: Sequence[NCPolynomial],
-                      assign: Dict[Tuple[str, object], DerivedObject]) -> List[HallElement]:
+                      assign: Dict[Tuple[str, object], DerivedObject],
+                      expand: Optional[Callable[[Generator], NCPolynomial]] = None
+                      ) -> List[HallElement]:
         """Evaluate NCPolynomials in one pass over the trie of their reversed words.
 
-        ``assign`` maps (family, index) to the shift-0 basis object of
-        that generator; shifts are applied per generator occurrence.
+        ``expand``, if given, sends each generator to its image, a
+        polynomial in the generators of ``assign``, and each generator is
+        replaced by its image as the walk reaches it; without it every
+        generator is its own image.  ``assign`` maps (family, index) to
+        the shift-0 basis object of that generator; shifts are applied per
+        generator occurrence.
         """
         # Words are multiplied right to left: keeping a single basis class
         # on the left makes the Hom-set sweeps inside the structure
-        # constants exponentially smaller for long words.  Sorting the
-        # reversed words lays out their trie depth first, and stack[k] is
-        # the value of the first k letters of the current reversed word, so
-        # each trie node costs one left multiplication [g] * stack[k].
-        entries = sorted(((word[::-1], i, coeff) for i, p in enumerate(polys)
-                          for word, coeff in p.terms.items()),
-                         key=lambda e: [g.sort_key() for g in e[0]])
+        # constants exponentially smaller for long words.  In the trie
+        # order of the reversed words, stack[k] is the value of the first k
+        # letters of the current reversed word, so each trie node costs one
+        # application of its generator's image.
+        entries = list(_trie_order((word[::-1], (i, coeff)) for i, p in enumerate(polys)
+                                   for word, coeff in p.terms.items()))
+        scalars = {}  # Q(v) coefficient -> (A, B, d): its value (A + B sqrt(q))/d
+        # every image is compiled before the first product, so a generator
+        # with no image or no assignment fails early
+        programs = {g: self._program(expand(g) if expand else NCPolynomial.generator(g),
+                                     assign, scalars)
+                    for _k, rev, _c in entries for g in rev}
         totals: List[Numerators] = [(1, ()) for _ in polys]
-        scalars = {}  # Q(v) coefficient -> its value at v = sqrt(q)
         stack = [(1, ((DerivedObject.zero(), 1, 0),))]
-        prev = ()
-        for rev, i, coeff in entries:
-            k = 0
-            while k < len(prev) and k < len(rev) and prev[k] == rev[k]:
-                k += 1
+        for k, rev, (i, coeff) in entries:
             del stack[k + 1:]
+            for g in rev[k:]:
+                stack.append(self._run(programs[g], stack[-1]))
+            totals[i] = self._combine(1, [(1, 0, totals[i]),
+                                          _part(self._scalar(coeff, scalars), stack[-1])])
+        return [self._element(t) for t in totals]
+
+    def _scalar(self, coeff: RationalFunctionV, scalars: Dict):
+        """coeff at v = sqrt(q) as (A, B, d), memoised in ``scalars``."""
+        c = scalars.get(coeff)
+        if c is None:
+            v = evaluate_at(coeff, self.q)
+            d, [(a, b)] = _common_denominator([(v.a, v.b)])
+            c = scalars[coeff] = (a, b, d)
+        return c
+
+    def _program(self, image: NCPolynomial, assign, scalars):
+        """An image as a program for ``_run``: its reversed words in trie
+        order, each as (k, the basis objects after its first k letters, its
+        coefficient as (A, B, d))."""
+        program = []
+        for k, rev, coeff in _trie_order((w[::-1], c) for w, c in image.terms.items()):
+            objs = []
             for g in rev[k:]:
                 base = assign.get((g.family, g.index))
                 if base is None:
                     raise ValueError(f"no assignment for generator {g}")
-                stack.append(self._left_mul(base.shifted(g.shift), stack[-1]))
-            prev = rev
-            c = scalars.get(coeff)
-            if c is None:
-                c = scalars[coeff] = evaluate_at(coeff, self.q)
-            totals[i] = self._combine(1, [(1, 0, totals[i]), self._scaled(c, stack[-1])])
-        return [self._element(t) for t in totals]
+                objs.append(base.shifted(g.shift))
+            program.append((k, objs, self._scalar(coeff, scalars)))
+        return program
+
+    def _run(self, program, x: Numerators) -> Numerators:
+        """image * x for a compiled image: each word of the image is
+        multiplied onto x letter by letter, right to left, with a stack of
+        the shared suffix values as in ``evaluate_many``."""
+        stack = [x]
+        parts = []
+        for k, objs, c in program:
+            del stack[k + 1:]
+            for X in objs:
+                stack.append(self._left_mul(X, stack[-1]))
+            parts.append(_part(c, stack[-1]))
+        if len(program) == 1 and program[0][2] == (1, 0, 1):
+            return stack[-1]  # one word with coefficient 1: nothing to sum
+        return self._combine(1, parts)
 
     def evaluate(self, x: NCPolynomial, assign: Dict[Tuple[str, object], DerivedObject]
                  ) -> HallElement:

@@ -17,8 +17,9 @@ from .freealg import (Generator, NCPolynomial, Relation, egen, iterated_bracket,
                       q_bracket, zab, zgen)
 from .hall import HallAlgebra, identity_report, simples_assignment
 from .scalar import ONE, V
-from .surface import (FoliationData, GluingSpec, MarkedDisk, SurfaceConfig, angle,
-                      load_config, normalized_gluing, span)
+from .surface import (FoliationData, GluingSpec, GradedChord, MarkedDisk, SurfaceConfig,
+                      angle, boundary_skein, crossing, load_config, normalized_gluing,
+                      self_skein, skein_commutator, span, standard_form)
 
 Window = Tuple[int, int]
 DEFAULT_WINDOW: Window = (-2, 3)
@@ -282,6 +283,66 @@ def cyclic_family(disk: MarkedDisk, i: int) -> RelationSet:
         rels.append(Relation(f"cyclic rung k={k}", lhs, rhs))
     return RelationSet(f"cyclic family m={m} i={i}", _used_generators(rels),
                        tuple(rels), oracle_m=m, expand=psi_map(disk))
+
+
+def local_skein_relations(window: Window = DEFAULT_WINDOW) -> RelationSet:
+    """The two-bracket commutator on the standard 4-gon, all suspensions.
+
+    With X = [E_{2,1}, E_{1,h(1)}]_v and Y = [E_{3,1-h(2)}, E_{2,0}]_v,
+    the commutator [X, s^l Y]_1 picks out exactly the l = 0 and l = 1
+    resolutions.
+    """
+    disk = standard_form()
+    h = disk.foliation
+    X = q_bracket(egen(2, 1), egen(1, h.at(1)), V)
+    Y = q_bracket(egen(3, 1 - h.at(2)), egen(2, 0), V)
+    coeff = V - V ** -1
+    rels = []
+    for l in range(window[0], window[1] + 1):
+        if l == 1:
+            rhs = (egen(2, 1) * egen(4, h.at(4) + h.at(1))).scale(coeff)
+        elif l == 0:
+            rhs = -(egen(1, h.at(1)) * egen(3, 1 - h.at(2))).scale(coeff)
+        else:
+            rhs = NCPolynomial.zero()
+        rels.append(Relation(f"local skein l={l}", q_bracket(X, Y.suspend(l), 1), rhs))
+    return RelationSet("local skein (standard form)", _used_generators(rels),
+                       tuple(rels), oracle_m=4, expand=psi_map(disk))
+
+
+def chord_skein_set(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
+    """Interior, boundary and self skein identities of the graded chords of
+    an m-gon, with shift differences across the window."""
+    rels = []
+    seen = set()
+    for a in range(1, m + 1):
+        for b in range(a + 1, m + 1):
+            for c in range(b + 1, m + 1):
+                for d in range(c + 1, m + 1):
+                    for k in range(window[0], window[1] + 1):
+                        rels.append(skein_commutator(GradedChord(a, c, k),
+                                                     GradedChord(b, d, 0)))
+    # boundary pairs on one shared interval, shift differences across the window
+    chords = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
+    for (a, b) in chords:
+        for (c, d) in chords:
+            x0, y0 = GradedChord(a, b, 0), GradedChord(c, d, 0)
+            if crossing(x0, y0) != "shared-endpoint-interval":
+                continue
+            for k in range(window[0], window[1] + 1):
+                r = boundary_skein(GradedChord(a, b, k), y0)
+                if r.label in seen:
+                    continue
+                seen.add(r.label)
+                rels.append(r)
+    for (a, b) in chords:
+        for k in range(window[0], window[1] + 1):
+            r = self_skein(GradedChord(a, b, 0), GradedChord(a, b, k))
+            if r.label not in seen:
+                seen.add(r.label)
+                rels.append(r)
+    return RelationSet(f"chord skein m={m}", _used_generators(rels), tuple(rels),
+                       oracle_m=m, expand=_z_expander(m))
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +662,15 @@ def verify_relation_set(rs: RelationSet, q_list: Sequence[int] = (2, 3)) -> dict
         raise ValueError(f"relation set {rs.name!r} is emission-only and "
                          "has no oracle assignment")
 
-    def expand(p: NCPolynomial) -> NCPolynomial:
-        return p.substitute(rs.expand) if rs.expand is not None else p
-
-    expanded = [(r.label, expand(r.lhs), expand(r.rhs)) for r in rs.relations]
     assign = simples_assignment(rs.oracle_m)
-
-    sides = [p for _label, lhs, rhs in expanded for p in (lhs, rhs)]
+    sides = [p for r in rs.relations for p in (r.lhs, r.rhs)]
     results = []
     for q in q_list:
-        # one pass over the words of every side
-        values = shared_algebra(rs.oracle_m, q).evaluate_many(sides, assign)
-        results += [dict(identity_report(label, values[2 * k], values[2 * k + 1]), q=q)
-                    for k, (label, _lhs, _rhs) in enumerate(expanded)]
+        # one pass over the words of every side, each generator replaced by
+        # its image inside the pass
+        values = shared_algebra(rs.oracle_m, q).evaluate_many(sides, assign, rs.expand)
+        results += [dict(identity_report(r.label, values[2 * k], values[2 * k + 1]), q=q)
+                    for k, r in enumerate(rs.relations)]
     failed = [r for r in results if not r["passed"]]
     return {
         "name": rs.name,

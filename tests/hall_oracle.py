@@ -5,6 +5,11 @@ multiplied right to left on its own, with ``QuadraticScalar`` coefficients
 throughout.  The package evaluates a batch of polynomials in one walk over
 the trie of their words, on integer numerators over one denominator.
 
+Expand-then-evaluate (``evaluate_expanded``): each polynomial is first
+multiplied out in Q(v) by substituting every generator's image, and the
+expanded polynomials are then evaluated.  The package applies each image
+inside its trie walk instead, with no Q(v) expansion.
+
 Two-sweep structure constants (``structure_constant``, ``aut_count``): the
 package computes every F^L_{X,Y} of a product from one sweep over
 Hom(Y[-1], X) by the derived Riedtmann formula, and counts automorphisms
@@ -58,6 +63,12 @@ def evaluate(alg, x, assign):
             acc = hall_product(alg, HallElement.basis(q, base.shifted(g.shift)), acc)
         total = total + acc.scale(evaluate_at(coeff, q))
     return total
+
+
+def evaluate_expanded(alg, polys, assign, expand):
+    """Every polynomial expanded into the generators of ``assign`` with
+    ``NCPolynomial.substitute``, then evaluated in one batch."""
+    return alg.evaluate_many([p.substitute(expand) for p in polys], assign)
 
 
 def aut_count(cat, X) -> int:

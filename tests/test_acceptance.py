@@ -13,7 +13,7 @@ import bruteforce
 from diskhall.freealg import (Generator, NCPolynomial, q_bracket, zab, zgen)
 from diskhall.hall import HallAlgebra, HallElement, simples_assignment
 from diskhall.presentation import (SELF_EXT, alpha_map, beta_image, beta_map,
-                                   cyclic_family, gluing_relations,
+                                   cyclic_family, gluing_relations, local_skein_relations,
                                    minimal_disk_relations, pbw_normal_form,
                                    pbw_relations, phi_map, psi_map,
                                    quiver_relations, s_relations, shared_algebra,
@@ -23,7 +23,6 @@ from diskhall.repq import DerivedCategory, DerivedObject, FiniteField, barcode, 
 from diskhall.scalar import ONE, V, QuadraticScalar, evaluate_at
 from diskhall.surface import (FoliationData, GluingSpec, GradedChord, MarkedDisk,
                               glue, skein_commutator)
-from diskhall.cli import _local_skein_relations
 
 from rep_oracle import direct_sum
 from test_repq import base_change, random_invertible, random_rep
@@ -140,7 +139,7 @@ def test_criterion_05_minimal_disks():
 
 
 def test_criterion_06_local_skein():
-    rep = verify_relation_set(_local_skein_relations((-2, 3)), (2,))
+    rep = verify_relation_set(local_skein_relations((-2, 3)), (2,))
     assert rep["passed"], failures(rep)
     assert rep["total"] == 6
     ok(6, "local skein on (0,1,0,1): both delta branches and zeros, l in -2..3")

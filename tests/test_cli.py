@@ -59,6 +59,21 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["schema"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-quiver", "--m", "3", "--shifts", "0..0", "--q", "2"),
+    ("presentation", "{config}", "--q", "2", "--shifts", "0..0"),
+], ids=["report", "presentation-text"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    cfg = tmp_path / "disk.json"
+    cfg.write_text(json.dumps({"disks": [{"m": 3, "h": [1, 0, 0]}]}))
+    argv = [str(cfg) if a == "{config}" else a for a in argv]
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "verify-quiver", "--m", "1")[0] == 2
     assert run(capsys, "verify-quiver", "--q", "6")[0] == 2

@@ -1,11 +1,13 @@
-"""The evaluation kernel against the per-word oracle.
+"""The evaluation kernel against the per-word and expand-first oracles.
 
 ``HallAlgebra.evaluate_many`` walks the trie of the reversed words of a
-batch of polynomials and multiplies on integer numerators over one
-denominator; ``hall_product`` uses the same left multiplication.  Both are
-checked against ``hall_oracle``, which multiplies each word on its own with
-``QuadraticScalar`` coefficients, at q = 2, 3 (where sqrt(q) is irrational)
-and q = 4, 9 (where the sqrt(q) half folds into the rational half).
+batch of polynomials, applies each generator's image (``expand``) inside
+the walk, and multiplies on integer numerators over one denominator;
+``hall_product`` uses the same left multiplication.  Both are checked
+against ``hall_oracle``, which multiplies each word on its own with
+``QuadraticScalar`` coefficients or expands every side in Q(v) first, at
+q = 2, 3 (where sqrt(q) is irrational) and q = 4, 9 (where the sqrt(q) half
+folds into the rational half).
 """
 
 import math
@@ -15,23 +17,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hall_oracle
-from diskhall.cli import _chord_skein_set
-from diskhall.freealg import Generator, NCPolynomial
+from diskhall.freealg import Generator, NCPolynomial, egen, q_bracket, zgen
 from diskhall.hall import HallAlgebra, HallElement, simples_assignment
-from diskhall.presentation import SELF_EXT, minimal_disk_relations, quiver_relations
+from diskhall.presentation import (SELF_EXT, chord_skein_set, cyclic_family,
+                                   local_skein_relations, minimal_disk_relations,
+                                   naive_presentation, quiver_relations)
 from diskhall.repq import DerivedObject
 from diskhall.scalar import ONE, V, QuadraticScalar, RationalFunctionV
 from diskhall.surface import FoliationData, MarkedDisk
 
 QS = (2, 3, 4, 9)
+ALGEBRAS = {q: HallAlgebra(3, q) for q in QS}
+ASSIGN = simples_assignment(3)
+
+#: two triangles glued along one arc: verified through the glued square
+GLUED = {"disks": [{"m": 3, "h": [1, 0, 0]}, {"m": 3, "h": [1, 0, 0]}],
+         "gluings": [{"left": 0, "arc_i": 3, "right": 1, "arc_j": 1}]}
 
 RELATION_SETS = {
     "quiver-m3": lambda: quiver_relations(3, (-1, 1)),
     "quiver-m4": lambda: quiver_relations(4, (0, 1)),
     "minimal-disk-m4": lambda: minimal_disk_relations(
         MarkedDisk(FoliationData(4, (0, 1, 0, 1))), (0, 1)),
-    "chord-skein-m4": lambda: _chord_skein_set(4, (0, 1)),
+    "chord-skein-m4": lambda: chord_skein_set(4, (0, 1)),
 }
+
+#: relation sets whose generators have images, for the expand-first oracle
+EXPANDED_SETS = dict(RELATION_SETS, **{
+    "minimal-disk-m5": lambda: minimal_disk_relations(
+        MarkedDisk(FoliationData(5, (1, 0, 1, 0, 1))), (0, 1)),
+    "cyclic-family-m5": lambda: cyclic_family(
+        MarkedDisk(FoliationData(5, (2, 0, 1, 0, 0))), 2),
+    "local-skein": lambda: local_skein_relations((0, 1)),
+    "glued-triangles": lambda: naive_presentation(GLUED, (0, 0)),
+})
 
 
 def sides(rs):
@@ -67,6 +86,66 @@ def test_relation_sets_match_per_word_oracle(name, q):
     assert_cache_reduced(alg)
 
 
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("name", EXPANDED_SETS)
+def test_images_in_walk_match_expanded_route(name, q):
+    """Applying each generator's image inside the walk gives the values of
+    expanding every side in Q(v) first."""
+    rs = EXPANDED_SETS[name]()
+    assert rs.expand is not None
+    polys = [p for r in rs.relations for p in (r.lhs, r.rhs)]
+    assign = simples_assignment(rs.oracle_m)
+    alg = HallAlgebra(rs.oracle_m, q)
+    values = alg.evaluate_many(polys, assign, rs.expand)
+    expected = hall_oracle.evaluate_expanded(alg, polys, assign, rs.expand)
+    assert values == expected
+    assert [str(v) for v in values] == [str(v) for v in expected]
+    assert_cache_reduced(alg)
+
+
+#: images of E1..E4 in z1, z2: a word, a bracket with a shared suffix, a
+#: scalar plus a word, and 0
+IMAGES = {
+    1: zgen(1, 0),
+    2: q_bracket(zgen(2, 1), zgen(1, 0), V) + (zgen(2, 0) * zgen(1, 0)).scale(3),
+    3: NCPolynomial.scalar(SELF_EXT) + zgen(2, -1).scale(V - V ** -1),
+    4: NCPolynomial.zero(),
+}
+
+
+def image(g):
+    if g.family == "E" and g.index in IMAGES:
+        return IMAGES[g.index].suspend(g.shift)
+    raise ValueError(f"no image for {g}")
+
+
+@pytest.mark.parametrize("q", QS)
+def test_zero_and_scalar_images(q):
+    E = [None] + [egen(i, 0) for i in range(1, 5)]
+    polys = [E[1] * E[4] + E[2], E[4], E[4] * E[2] * E[3], q_bracket(E[2], E[3], V),
+             (E[3] * E[1] * E[2]).scale(V ** 3) + NCPolynomial.scalar(2)]
+    alg = ALGEBRAS[q]
+    values = alg.evaluate_many(polys, ASSIGN, image)
+    assert values == hall_oracle.evaluate_expanded(alg, polys, ASSIGN, image)
+    assert values[1] == values[2] == HallElement.zero(q)
+    assert values[0] == alg.evaluate(IMAGES[2], ASSIGN)
+
+
+def test_generator_without_image_fails_before_any_product(monkeypatch):
+    alg = HallAlgebra(3, 2)
+    calls = []
+    monkeypatch.setattr(alg, "_basis_product", lambda X, Y: calls.append((X, Y)))
+    E1, E5 = egen(1, 0), egen(5, 0)
+    for polys, expand in (([E1 * E1, E1 * E5], image),
+                          ([zgen(1, 0) * egen(1, 0)], None)):
+        with pytest.raises(ValueError):
+            alg.evaluate_many(polys, ASSIGN, expand)
+    # an image that uses a generator with no assignment
+    with pytest.raises(ValueError):
+        alg.evaluate_many([E1 * E1], ASSIGN, lambda g: egen(1, 0))
+    assert calls == []
+
+
 def test_walk_accumulators_are_reduced(monkeypatch):
     """Every left multiplication of the walk returns (d, ((L, A, B), ...))
     with d > 0, gcd(d, every A and B) = 1 and no zero term."""
@@ -91,8 +170,6 @@ def test_walk_accumulators_are_reduced(monkeypatch):
 
 # -- random polynomials and elements ----------------------------------------
 
-ALGEBRAS = {q: HallAlgebra(3, q) for q in QS}
-ASSIGN = simples_assignment(3)
 GENERATORS = [Generator("z", i, n) for i in (1, 2) for n in (-1, 0, 1)]
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)

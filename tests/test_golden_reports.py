@@ -1,8 +1,10 @@
-"""Golden reports: SHA-256 digests of the JSON reports of five fast CLI
-commands that the benchmark workloads do not cover.  The digests were
+"""Golden reports: SHA-256 digests of the JSON reports of seven fast CLI
+commands that the benchmark workloads do not cover.  The first five were
 recorded from the code before the evaluation layer moved to a trie walk on
-integer numerators; a change to the evaluation route must leave them as
-they are."""
+integer numerators, the last two (the skein suite at q = 3 and the m = 5
+boundary-arc bracket at the square q = 4) before generator images were
+applied inside the walk; a change to the evaluation route must leave them
+as they are."""
 
 import hashlib
 import json
@@ -27,6 +29,10 @@ GOLDEN = [
      "477fcb15aa62545e3ac49bfa0085bdc3fcc489318495d396810bb1542523a2b0"),
     (["verify-disk", "--m", "4", "--h", "1,0,1,0", "--shifts", "0..1", "--q", "3,4"],
      "7758de4677909191715db4eb55781351922ad4994a08c689ebf61acf014344fe"),
+    (["verify-skein", "--shifts", "0..0", "--q", "3"],
+     "f5dbf4a9e5709d6f47a2b7eb2dfac4d122308c42b8c80f528dd0aa4fe84cd6c8"),
+    (["verify-disk", "--m", "5", "--h", "2,0,1,0,0", "--shifts", "0..0", "--q", "4"],
+     "145f8ec637abd0c0af096113eee075096961351d20888070f2e7052664b4ced5"),
 ]
 
 
