@@ -16,7 +16,9 @@ without --emit-only), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 import traceback
@@ -103,6 +105,15 @@ def _write(text: str, out_path):
             fh.write(text)
     except OSError as ex:
         raise UsageError(f"cannot write {out_path}: {ex.strerror or ex}")
+
+
+def _check_out(out_path):
+    """Reject an ``--out`` that is a directory or lies in a missing one
+    before anything is computed; ``_write`` reports any other failure."""
+    if out_path and os.path.isdir(out_path):
+        raise UsageError(f"cannot write {out_path}: {os.strerror(errno.EISDIR)}")
+    if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise UsageError(f"cannot write {out_path}: {os.strerror(errno.ENOENT)}")
 
 
 def _finish(payload, args):
@@ -325,6 +336,7 @@ def main(argv=None) -> int:
         args.shifts = _parse_window(args.shifts)
         if getattr(args, "h", None) is not None:
             args.h = _parse_ints(args.h)
+        _check_out(args.out)
         return args.func(args)
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -24,8 +24,16 @@ Everything is computed honestly over F_q:
   components of the support, and the torus of Aut X x Aut Y preserves them.
   Each component's cone is memoised modulo the shift functor.
 
-Objects are identified up to isomorphism by taking homology degreewise
-(the category is hereditary) and barcoding it.
+``identify`` names a complex of projectives up to isomorphism.  The
+category is hereditary, so the complex is the sum of the H^d[-d], and the
+intervals of H^d follow (``_intervals``, shared with ``barcode``) from the
+ranks of H^d(i) -> H^d(j), i <= j.  P_u is nonzero at vertex v iff u <= v
+and its arrow maps are inclusions.  With D, D' the differentials out of and
+into degree d, and C(i) spanned by the terms u <= i, B_j lies in ker D, so
+Z_i meets B_j in B_j meet C(i), and
+
+    rank H^d(i) -> H^d(j) = #{u <= i} - rank D[:, u <= i] - rank D'[:, u <= j]
+                            + rank D'[rows u > i, cols u <= j].
 """
 
 from __future__ import annotations
@@ -262,20 +270,6 @@ def nullspace(F: FiniteField, M: Matrix, cols: Optional[int] = None) -> List[Lis
     return basis
 
 
-def solve(F: FiniteField, A: Matrix, b: Sequence[int]) -> Optional[List[int]]:
-    """One solution x of A x = b, or None."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    aug = [A[i][:] + [b[i]] for i in range(rows)]
-    R, pivots = rref(F, aug)
-    if cols in pivots:
-        return None
-    x = [0] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][cols]
-    return x
-
-
 def column_space_extension(F: FiniteField, B: Matrix, K: Matrix) -> List[int]:
     """Indices of columns of K that extend the column space of B.
 
@@ -327,9 +321,6 @@ class QuiverRep:
         self.dims = tuple(dims)
         self.maps = [[row[:] for row in A] for A in maps]
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
 
 def zero_rep(field: FiniteField, m: int) -> QuiverRep:
     return QuiverRep(field, m, [0] * (m - 1), [[] for _ in range(m - 2)])
@@ -350,27 +341,34 @@ def interval_rep(field: FiniteField, m: int, a: int, b: int) -> QuiverRep:
     return QuiverRep(field, m, dims, maps)
 
 
-def barcode(M: QuiverRep) -> Tuple[Tuple[int, int], ...]:
-    """Multiset of intervals (a, b) in the decomposition of M, sorted."""
-    ranks: Dict[Tuple[int, int], int] = {}  # (i, j): rank of vertex i -> vertex j
-    for i in range(1, M.m):
-        comp = identity(M.dims[i - 1])
-        ranks[i, i] = M.dims[i - 1]
-        for j in range(i + 1, M.m):
-            comp = mat_mul(M.field, M.maps[j - 2], comp)
-            ranks[i, j] = mat_rank(M.field, comp)
+def _intervals(m: int, rank) -> Tuple[Tuple[int, int], ...]:
+    """Sorted multiset of intervals (a, b) of a representation of A_{m-1}
+    whose composite map vertex i -> vertex j has rank ``rank(i, j)`` for
+    1 <= i <= j <= m-1, by inclusion-exclusion over those ranks."""
+    ranks = {(i, j): rank(i, j) for i in range(1, m) for j in range(i, m)}
 
-    def rank(i: int, j: int) -> int:
+    def r(i: int, j: int) -> int:
         return ranks.get((i, j), 0)  # zero outside 1 <= i <= j <= m-1
 
     out: List[Tuple[int, int]] = []
-    for a in range(1, M.m):
-        for b in range(a + 1, M.m + 1):
-            mult = rank(a, b - 1) - rank(a - 1, b - 1) - rank(a, b) + rank(a - 1, b)
+    for a in range(1, m):
+        for b in range(a + 1, m + 1):
+            mult = r(a, b - 1) - r(a - 1, b - 1) - r(a, b) + r(a - 1, b)
             if mult < 0:
                 raise ArithmeticError("negative interval multiplicity")
             out.extend([(a, b)] * mult)
-    return tuple(sorted(out))
+    return tuple(out)
+
+
+def barcode(M: QuiverRep) -> Tuple[Tuple[int, int], ...]:
+    """Multiset of intervals (a, b) in the decomposition of M, sorted."""
+    def rank(i: int, j: int) -> int:
+        comp = identity(M.dims[i - 1])
+        for A in M.maps[i - 1:j - 1]:  # arrows i -> i+1, ..., j-1 -> j
+            comp = mat_mul(M.field, A, comp)
+        return mat_rank(M.field, comp)
+
+    return _intervals(M.m, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +510,9 @@ def _components(edges: List[Tuple[int, int]]):
 class DMorphism:
     """A degree-0 chain map between the projective complexes of X and Y."""
 
-    __slots__ = ("source", "target", "maps", "_cx", "_cy")
+    __slots__ = ("maps", "_cx", "_cy")
 
-    def __init__(self, source: DerivedObject, target: DerivedObject,
-                 maps: Dict[int, Matrix], cx: _PComplex, cy: _PComplex):
-        self.source = source
-        self.target = target
+    def __init__(self, maps: Dict[int, Matrix], cx: _PComplex, cy: _PComplex):
         self.maps = maps
         self._cx = cx
         self._cy = cy
@@ -665,7 +660,7 @@ class DerivedCategory:
             for c, (d, i, j) in enumerate(v0):
                 if vec[c]:
                     maps[d][i][j] = vec[c]
-            out.append(DMorphism(X, Y, maps, cx, cy))
+            out.append(DMorphism(maps, cx, cy))
         return out
 
     # -- cone counts over torus orbits of support patterns -------------------
@@ -747,7 +742,7 @@ class DerivedCategory:
             for deg, x in self._pair_block(a, b, c, d, k - n):
                 D = deg - n  # the pair's source sits at shift 0, X_i at shift n
                 maps[D][py[j][D]][px[i][D]] = mul_t[x][value]
-        return DMorphism(X, Y, maps, cx, cy)
+        return DMorphism(maps, cx, cy)
 
     def _pair_block(self, a: int, b: int, c: int, d: int, r: int) -> List[Tuple[int, int]]:
         """The basis chain map M[a,b) -> M[c,d)[r] of a one-dimensional
@@ -763,81 +758,32 @@ class DerivedCategory:
                 (deg, x) for (deg, _i, _j), x in zip(v0, rep) if x]
         return block
 
-    # -- rep-level expansion of a projective complex -------------------------
-
-    def _homology_data(self, c: _PComplex):
-        """For each degree and vertex: kernel basis, image, chosen homology
-        basis columns (in kernel-ambient coordinates) and solver matrix."""
-        F = self.field
-        degs = c.degrees()
-        result = {}
-        for d in degs:
-            src = c.at(d)
-            per_vertex = []
-            for v in range(1, self.m):
-                cols_here = [j for j, u in enumerate(src) if u <= v]
-                dim_here = len(cols_here)
-                # kernel of d^d at v
-                dst = c.at(d + 1)
-                D = c.dmat(d)
-                rows = [i for i, w in enumerate(dst) if w <= v]
-                Dv = [[D[i][j] for j in cols_here] for i in rows]
-                ker = nullspace(F, Dv, dim_here)
-                # image of d^{d-1} at v
-                prev = c.at(d - 1)
-                Dp = c.dmat(d - 1)
-                pcols = [j for j, u in enumerate(prev) if u <= v]
-                img = [[Dp[i][j] for j in pcols] for i in
-                       [i for i, w in enumerate(src) if w <= v]]
-                img_vecs = [[img[i][j] for i in range(dim_here)] for j in range(len(pcols))]
-                picked = column_space_extension(F, columns(img_vecs), columns(ker))
-                hbasis = [ker[i] for i in picked]
-                per_vertex.append({
-                    "cols": cols_here,
-                    "image": img_vecs,
-                    "hbasis": hbasis,
-                })
-            result[d] = per_vertex
-        return result
-
-    def _homology_rep(self, c: _PComplex, hdata, d: int) -> QuiverRep:
-        """The homology representation at complex degree d."""
-        F = self.field
-        per_vertex = hdata[d]
-        dims = [len(pv["hbasis"]) for pv in per_vertex]
-        src = c.at(d)
-        maps = []
-        for v in range(1, self.m - 1):
-            here, there = per_vertex[v - 1], per_vertex[v]
-            A = zeros(dims[v], dims[v - 1])
-            if dims[v - 1] and dims[v]:
-                # transfer a vector from coordinates at v to coordinates at v+1
-                pos_there = {j: t for t, j in enumerate(there["cols"])}
-                basis_mat = columns(there["image"] + there["hbasis"])
-                for bidx, x in enumerate(here["hbasis"]):
-                    y = [0] * len(there["cols"])
-                    for ci, j in enumerate(here["cols"]):
-                        if x[ci]:
-                            y[pos_there[j]] = x[ci]  # arrow maps are inclusions
-                    sol = solve(F, basis_mat, y)
-                    if sol is None:
-                        raise ArithmeticError("homology transfer failed")
-                    nimg = len(there["image"])
-                    for i in range(dims[v]):
-                        A[i][bidx] = sol[nimg + i]
-            maps.append(A)
-        return QuiverRep(F, self.m, dims, maps)
+    # -- identification of a projective complex -----------------------------
 
     def identify(self, c: _PComplex) -> DerivedObject:
-        """Isomorphism class of a complex of projectives, via degreewise
-        homology + barcode (valid because the category is hereditary)."""
-        hdata = self._homology_data(c)
+        """Isomorphism class of a complex of projectives: the sum over d of
+        the intervals of H^d, shifted by -d, from the rank formula of the
+        module docstring, with Z(v) = ker D(v) and B(v) = im D'(v)."""
+        F = self.field
+
+        def sub_rank(M: Matrix, rows, cols) -> int:
+            return mat_rank(F, [[M[r][t] for t in cols] for r in rows])
+
         summands: List[Tuple[int, int, int]] = []
         for d in c.degrees():
-            rep = self._homology_rep(c, hdata, d)
-            if rep.total_dim():
-                for (a, b) in barcode(rep):
-                    summands.append((a, b, -d))
+            D, Dp, here, prev = c.dmat(d), c.dmat(d - 1), c.at(d), c.at(d - 1)
+            cols = [[t for t, u in enumerate(here) if u <= v] for v in range(self.m)]
+            pcols = [[t for t, u in enumerate(prev) if u <= v] for v in range(self.m)]
+            zdim = [len(cs) - sub_rank(D, range(len(D)), cs) for cs in cols]
+            bdim = [sub_rank(Dp, range(len(Dp)), ps) for ps in pcols]
+
+            def rank(i: int, j: int) -> int:
+                if not (zdim[i] and bdim[j]):  # Z(i) = 0 or B(j) = 0: injective
+                    return zdim[i]
+                above = [t for t, u in enumerate(here) if u > i]
+                return zdim[i] - bdim[j] + sub_rank(Dp, above, pcols[j])
+
+            summands += [(a, b, -d) for a, b in _intervals(self.m, rank)]
         return DerivedObject.of(summands)
 
     def cone(self, f: DMorphism) -> DerivedObject:

@@ -386,10 +386,7 @@ class QuadraticScalar:
 
     def inverse(self) -> "QuadraticScalar":
         norm = self.a * self.a - self.b * self.b * self.q
-        if norm == 0:
-            if self.is_zero():
-                raise ZeroDivisionError("division by zero")
-            # a^2 = b^2 q with q not a perfect square forces a = b = 0
+        if norm == 0:  # a^2 = b^2 q with q not a perfect square forces a = b = 0
             raise ZeroDivisionError("division by zero")
         return QuadraticScalar(self.q, self.a / norm, -self.b / norm)
 

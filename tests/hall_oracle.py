@@ -22,12 +22,20 @@ isomorphic to Y, and |Aut(X)| is found by enumerating End(X) and keeping
 the endomorphisms that act invertibly on homology in every degree and at
 every vertex.  Both counts enumerate Hom sets, so they are only practical
 on small objects.
+
+Identification by homology (``identify_by_homology``): the package names a
+complex of projectives from ranks of submatrices of its differentials.  The
+route this replaced builds each homology representation H^d (kernel bases,
+a homology basis extending the image, one linear solve per basis vector
+and arrow) and barcodes it.  ``aut_count`` above uses the same homology
+bases.
 """
 
 from fractions import Fraction
 
 from diskhall.hall import HallElement
-from diskhall.repq import columns, mat_rank, solve, zeros
+from diskhall.repq import (DerivedObject, QuiverRep, barcode, column_space_extension,
+                           columns, mat_rank, nullspace, rref, zeros)
 from diskhall.scalar import QuadraticScalar, evaluate_at
 
 
@@ -71,12 +79,88 @@ def evaluate_expanded(alg, polys, assign, expand):
     return alg.evaluate_many([p.substitute(expand) for p in polys], assign)
 
 
+def solve(F, A, b):
+    """One solution x of A x = b, or None."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    aug = [A[i][:] + [b[i]] for i in range(rows)]
+    R, pivots = rref(F, aug)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][cols]
+    return x
+
+
+def _homology_data(cat, c):
+    """For each degree and vertex: the columns of the complex's terms that
+    live there, a spanning set of the image and a homology basis (kernel
+    vectors extending the image), all in those columns' coordinates."""
+    F = cat.field
+    result = {}
+    for d in c.degrees():
+        src, dst, prev = c.at(d), c.at(d + 1), c.at(d - 1)
+        D, Dp = c.dmat(d), c.dmat(d - 1)
+        per_vertex = []
+        for v in range(1, cat.m):
+            cols_here = [j for j, u in enumerate(src) if u <= v]
+            rows = [i for i, w in enumerate(dst) if w <= v]
+            ker = nullspace(F, [[D[i][j] for j in cols_here] for i in rows], len(cols_here))
+            pcols = [j for j, u in enumerate(prev) if u <= v]
+            img_vecs = [[Dp[i][j] for i in cols_here] for j in pcols]
+            picked = column_space_extension(F, columns(img_vecs), columns(ker))
+            per_vertex.append({"cols": cols_here, "image": img_vecs,
+                               "hbasis": [ker[i] for i in picked]})
+        result[d] = per_vertex
+    return result
+
+
+def _homology_rep(cat, hdata, d):
+    """The homology representation at complex degree d: each arrow map
+    carries a homology basis vector at v (the arrow maps of the terms are
+    inclusions) to its coordinates over image + homology basis at v+1."""
+    F = cat.field
+    per_vertex = hdata[d]
+    dims = [len(pv["hbasis"]) for pv in per_vertex]
+    maps = []
+    for v in range(1, cat.m - 1):
+        here, there = per_vertex[v - 1], per_vertex[v]
+        A = zeros(dims[v], dims[v - 1])
+        if dims[v - 1] and dims[v]:
+            pos_there = {j: t for t, j in enumerate(there["cols"])}
+            basis_mat = columns(there["image"] + there["hbasis"])
+            nimg = len(there["image"])
+            for bidx, x in enumerate(here["hbasis"]):
+                y = [0] * len(there["cols"])
+                for ci, j in enumerate(here["cols"]):
+                    y[pos_there[j]] = x[ci]
+                sol = solve(F, basis_mat, y)
+                if sol is None:
+                    raise ArithmeticError("homology transfer failed")
+                for i in range(dims[v]):
+                    A[i][bidx] = sol[nimg + i]
+        maps.append(A)
+    return QuiverRep(F, cat.m, dims, maps)
+
+
+def identify_by_homology(cat, c):
+    """Isomorphism class of a complex of projectives from its homology
+    representations, built degree by degree and barcoded."""
+    hdata = _homology_data(cat, c)
+    summands = []
+    for d in c.degrees():
+        rep = _homology_rep(cat, hdata, d)
+        summands += [(a, b, -d) for a, b in barcode(rep)]
+    return DerivedObject.of(summands)
+
+
 def aut_count(cat, X) -> int:
     """Number of invertible endomorphism classes of X, by enumeration."""
     if X.is_zero():
         return 1
     cx = cat.complex_of(X)
-    hdata = cat._homology_data(cx)
+    hdata = _homology_data(cat, cx)
     solved = {}
     return sum(1 for f in cat.enumerate_dhoms(X, X)
                if _induces_iso(cat, cx, hdata, f, solved))

@@ -74,6 +74,20 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
         assert "Traceback" not in err
 
 
+def test_unwritable_out_is_refused_before_computing(tmp_path, capsys, monkeypatch):
+    def verify(*_args):
+        raise AssertionError("verified before checking --out")
+
+    monkeypatch.setattr(cli, "verify_relation_set", verify)
+    missing = tmp_path / "missing" / "x.json"
+    for target in (missing, tmp_path):
+        code, out, err = run(capsys, "verify-disk", "--m", "5", "--h", "1,0,1,0,1",
+                             "--shifts", "-1..1", "--q", "2", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "verify-quiver", "--m", "1")[0] == 2
     assert run(capsys, "verify-quiver", "--q", "6")[0] == 2

@@ -8,18 +8,23 @@ small cases: products with dim X + dim Y <= 3 and objects of total dimension
 autoequivalence).  The product cache, which sweeps only the pair translated
 to lowest shift 0, is checked on pairs translated by -2 and +3; the graded
 Hom dims, summed from a table of summand pairs, are checked against the Hom
-complex of the whole objects.
+complex of the whole objects.  ``identify``, which reads each homology map's
+rank off submatrices of a cone's differentials, is checked against the
+homology representations it replaced, on seeded random chain maps and on
+every component cone of the cyclic supports.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import hall_oracle
 from diskhall.hall import HallAlgebra
-from diskhall.repq import DerivedCategory, DerivedObject, FiniteField
+from diskhall.repq import (DMorphism, DerivedCategory, DerivedObject, FiniteField, nullspace,
+                           zeros)
 from diskhall.scalar import QuadraticScalar
 
 #: largest dim End X checked at each q.  The enumerating oracle visits all
@@ -158,18 +163,76 @@ CYCLIC = [
 ]
 
 
+def checked_identify(cat, monkeypatch):
+    """Make every ``cat.identify`` assert that the rank formula agrees with
+    the homology route; returns the list of the classes it identified."""
+    identify, seen = cat.identify, []
+
+    def both(c):
+        L = identify(c)
+        assert L == hall_oracle.identify_by_homology(cat, c), (c.labels, c.diff)
+        seen.append(L)
+        return L
+
+    monkeypatch.setattr(cat, "identify", both)
+    return seen
+
+
+def random_chain_map(cat, X, Y, rng):
+    """A uniformly random degree-0 chain map between the projective
+    complexes of X and Y (any cocycle, not only a class representative)."""
+    F = cat.field
+    cx, cy = cat.complex_of(X), cat.complex_of(Y)
+    v0, v1 = cat._hom_vars(cx, cy, 0), cat._hom_vars(cx, cy, 1)
+    vec = [0] * len(v0)
+    for z in nullspace(F, cat._delta(cx, cy, 0, v0, v1), len(v0)) if v0 else []:
+        c = rng.randrange(F.q)
+        vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, z)]
+    maps = {d: zeros(len(cy.at(d)), len(cx.at(d))) for d in cx.degrees()}
+    for x, (d, i, j) in zip(vec, v0):
+        maps[d][i][j] = x
+    return DMorphism(maps, cx, cy)
+
+
+def test_rank_identify_matches_homology_route(monkeypatch):
+    """The rank formula against the homology representations on 1,125
+    seeded cones: q = 2, 3, 4, 5, 7, m = 2..6, objects of 1 to 3 summands
+    with shifts 0..2."""
+    rng = random.Random(9)
+    checked = []
+    for q in (2, 3, 4, 5, 7):
+        for m in range(2, 7):
+            cat = DerivedCategory(m, FiniteField(q))
+            seen = checked_identify(cat, monkeypatch)
+
+            def obj():
+                return DerivedObject.of(
+                    (a, rng.randrange(a + 1, m + 1), rng.randrange(3))
+                    for a in [rng.randrange(1, m) for _ in range(rng.randint(1, 3))])
+
+            for _ in range(45):
+                cat.cone(random_chain_map(cat, obj(), obj(), rng))
+            checked += seen
+    assert len(checked) == 1125
+    assert sum(L.is_zero() for L in checked) > 10
+
+
 @pytest.mark.parametrize("m, xs, ys, q", [
     (m, xs, ys, q) for (m, xs, ys, qs) in CYCLIC for q in qs])
-def test_cyclic_supports(m, xs, ys, q):
-    """Pattern counts on cyclic supports against the morphism sweep, and at
-    q <= 3 the structure constants against the two-sweep oracle."""
+def test_cyclic_supports(m, xs, ys, q, monkeypatch):
+    """Pattern counts on cyclic supports against the morphism sweep, every
+    component cone they identify against the homology route, and at q <= 3
+    the structure constants against the two-sweep oracle."""
     alg = HallAlgebra(m, q)
     cat = alg.category
     X, Y = DerivedObject.of(xs), DerivedObject.of(ys)
     Y1 = Y.shifted(-1)
     dim = cat.dhom_dims(Y1, X).get(0, 0)
     assert dim == len(xs) * len(ys)
+    components = checked_identify(cat, monkeypatch)
     counts = cat.cone_counts(Y1, X)
+    monkeypatch.undo()
+    assert len(components) == len(cat._cone_cache) > 0
     assert counts == morphism_sweep(cat, Y1, X)
     assert sum(counts.values()) == q ** dim
     if q <= 3:

@@ -5,6 +5,7 @@ squares must agree with the derived Hom spaces computed on projective
 complexes, and barcodes must be stable under base change.
 """
 
+import itertools
 import random
 
 import pytest
@@ -191,7 +192,20 @@ def test_aut_counts():
 
 
 def test_identify_roundtrip():
-    F = FiniteField(2)
-    cat = DerivedCategory(4, F)
-    X = DerivedObject.of([(1, 4, 0), (2, 3, -1), (1, 2, 2)])
+    """``identify`` recovers every object of total dimension <= 3 with
+    summand shifts 0..2, for m <= 5, from its projective complex (and one
+    larger object)."""
+    checked = 0
+    for m in range(2, 6):
+        cat = DerivedCategory(m, FiniteField(2))
+        intervals = [(a, b, n) for a in range(1, m) for b in range(a + 1, m + 1)
+                     for n in range(3)]
+        for k in (1, 2, 3):
+            for combo in itertools.combinations_with_replacement(intervals, k):
+                if sum(b - a for a, b, _n in combo) <= 3:
+                    X = DerivedObject.of(combo)
+                    assert cat.identify(cat.complex_of(X)) == X
+                    checked += 1
+    assert checked == 982
+    X = DerivedObject.of([(1, 4, 0), (2, 3, -1), (1, 2, 2)])  # negative shift, dim 5
     assert cat.identify(cat.complex_of(X)) == X
