@@ -4,11 +4,10 @@ with the relation families of their shifted-generator presentations."""
 from .freealg import (Generator, NCPolynomial, Relation, expand_arcs,
                       iterated_bracket, q_bracket, zab, zarc, zgen)
 from .hall import HallAlgebra, HallElement, simples_assignment
-from .presentation import (RelationSet, alpha_map, beta_image, beta_map,
-                           cyclic_family, gluing_relations, minimal_disk_relations,
-                           naive_presentation, pbw_normal_form, pbw_relations,
-                           phi_map, psi_map, quiver_relations, s_relations,
-                           shared_algebra, verify_relation_set)
+from .presentation import (RelationSet, alpha_map, beta_map, cyclic_family,
+                           minimal_disk_relations, naive_presentation, pbw_normal_form,
+                           pbw_relations, phi_map, psi_map, quiver_relations,
+                           s_relations, shared_algebra, verify_relation_set)
 from .repq import DerivedCategory, DerivedObject, FiniteField, QuiverRep, barcode
 from .scalar import ONE, Q, V, QuadraticScalar, RationalFunctionV, evaluate_at
 from .surface import (FoliationData, GluingSpec, GradedChord, MarkedDisk,

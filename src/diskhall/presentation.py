@@ -10,22 +10,19 @@ through the Hall-algebra oracle with ``verify_relation_set``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .freealg import (Generator, NCPolynomial, Relation, egen, iterated_bracket,
                       q_bracket, zab, zgen)
 from .hall import HallAlgebra, identity_report, simples_assignment
 from .scalar import ONE, V
-from .surface import (FoliationData, GluingSpec, GradedChord, MarkedDisk, SurfaceConfig,
-                      angle, boundary_skein, crossing, load_config, normalized_gluing,
+from .surface import (SELF_EXT, GluingSpec, GradedChord, MarkedDisk, SurfaceConfig, angle,
+                      boundary_skein, crossing, glue, load_config, normalized_gluing,
                       self_skein, skein_commutator, span, standard_form)
 
 Window = Tuple[int, int]
 DEFAULT_WINDOW: Window = (-2, 3)
-
-# the scalar correction v^{-1}/(v^2 - 1) appearing at shift difference 1
-SELF_EXT = (V ** -1) / (V ** 2 - ONE)
 
 
 @dataclass(frozen=True)
@@ -245,8 +242,10 @@ def minimal_disk_relations(disk: MarkedDisk, window: Window = DEFAULT_WINDOW) ->
                     f"(R1) i={i} n={n} k={k}",
                     q_bracket(_E(disk, i, n), _E(disk, i, n + k), V ** (2 * (-1) ** k)),
                     rhs))
-        # adjacent pair (i+1, i): base shifts (k, h(i)); all suspensions in window
-        for t in range(lo, hi + 1):
+        # adjacent pair (i+1, i): base shifts (k, h(i)); all suspensions in
+        # window.  None in a bigon, where E_{i+1} is a shift of E_i and (R1)
+        # relates the two.
+        for t in range(lo, hi + 1) if m > 2 else ():
             for u in range(lo, hi + 1):
                 k = t - u + h.at(i)
                 if k == 1:
@@ -349,25 +348,6 @@ def chord_skein_set(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
 # gluing
 # ---------------------------------------------------------------------------
 
-def _rename(p: NCPolynomial, family_from: str, family_to: str, offset: int) -> NCPolynomial:
-    def image(g: Generator) -> NCPolynomial:
-        if g.family == family_from:
-            return NCPolynomial.generator(Generator(family_to, g.index + offset, g.shift))
-        return NCPolynomial.generator(g)
-    return p.substitute(image)
-
-
-def _neighbor_pairs(n: int, m2: int):
-    """Index pairs (k, l) adjacent to the glued arc in normal position.
-
-    These are the pairs for which no far-commutativity relation holds;
-    the glued arcs themselves, (n, n-1), are handled by (G1).
-    """
-    big = n + m2 - 2
-    return {(1, n - 1), (1, big), (n - 1, n - 1), (n - 1, n), (n, n), (n, big),
-            (n, n - 1)}
-
-
 def beta_map(spec: GluingSpec) -> Callable[[Generator], NCPolynomial]:
     """Rewrite both disks' generators in the glued disk's G generators.
 
@@ -401,11 +381,6 @@ def beta_map(spec: GluingSpec) -> Callable[[Generator], NCPolynomial]:
     return image
 
 
-def beta_image(spec: GluingSpec, gen: Generator) -> NCPolynomial:
-    """The image of one generator under the gluing map beta."""
-    return beta_map(spec)(gen)
-
-
 def alpha_map(spec: GluingSpec) -> Callable[[Generator], NCPolynomial]:
     """Send each glued-disk generator back to the disk it came from."""
     n = spec.left.m
@@ -420,55 +395,16 @@ def alpha_map(spec: GluingSpec) -> Callable[[Generator], NCPolynomial]:
     return image
 
 
-def gluing_relations(spec: GluingSpec, window: Window = DEFAULT_WINDOW) -> RelationSet:
-    """Both disks' presentations in normal position, plus the gluing
-    identifications (G1) and far-commutativity across the seam (G3)."""
-    e_rot, f_rot, glued = normalized_gluing(spec)
-    n, m2 = spec.left.m, spec.right.m
-    big = n + m2 - 2
-    lo, hi = window
-
-    left = minimal_disk_relations(MarkedDisk(e_rot, family="E"), window)
-    f_seq = FoliationData(m2, tuple(f_rot[n - 1 + t] for t in range(m2)))
-    right_raw = minimal_disk_relations(MarkedDisk(f_seq, family="E"), window)
-
-    rels: List[Relation] = [Relation(f"left {r.label}", r.lhs, r.rhs)
-                            for r in left.relations]
-    for r in right_raw.relations:
-        rels.append(Relation(f"right {r.label}",
-                             _rename(r.lhs, "E", "F", n - 2),
-                             _rename(r.rhs, "E", "F", n - 2)))
-    for s in range(lo, hi + 1):
-        rels.append(Relation(f"(G1) s={s}", egen(n, s, "E"), egen(n - 1, s, "F")))
-    skip = _neighbor_pairs(n, m2)
-    for k in range(1, n + 1):
-        for l in range(n - 1, big + 1):
-            if (k, l) in skip:
-                continue
-            for s in range(lo, hi + 1):
-                for t in range(lo, hi + 1):
-                    rels.append(Relation(
-                        f"(G3) E{k},F{l} shifts=({s},{t})",
-                        q_bracket(egen(k, s, "E"), egen(l, t, "F"), ONE),
-                        NCPolynomial.zero()))
-
-    beta = beta_map(spec)
-    psi_g = psi_map(glued)
-
-    def expand(g: Generator) -> NCPolynomial:
-        return beta(g).substitute(psi_g)
-
-    return RelationSet(f"gluing n={n} m={m2}", _used_generators(rels), tuple(rels),
-                       oracle_m=big, expand=expand)
-
-
 def naive_presentation(config: Union[SurfaceConfig, dict],
                        window: Window = DEFAULT_WINDOW) -> RelationSet:
     """Free product of the disk presentations modulo (G1) and (G3).
 
-    For a single disk this is its minimal presentation; for one gluing
-    of two disks the set is verifiable through the glued disk; larger
-    configurations are emitted without an oracle assignment.
+    This is the one place that glues presentations.  For a single disk the
+    set is its minimal presentation.  For one gluing of two distinct disks
+    it is verifiable through the glued disk: each raw arc label is
+    relabelled to the normal position of ``beta_map``, then sent through
+    ``beta_map`` and the glued disk's ``psi_map``.  Other configurations
+    are emitted without an oracle assignment.
     """
     if isinstance(config, dict):
         config = load_config(config)
@@ -478,31 +414,25 @@ def naive_presentation(config: Union[SurfaceConfig, dict],
         warnings.warn("configuration does not have enough marked intervals: "
                       "some disk's marked intervals are identified by the gluing")
     if len(config.disks) == 1 and not config.gluings:
-        return naive_disk_set(config.disks[0], window)
+        return replace(minimal_disk_relations(config.disks[0], window),
+                       name="naive presentation")
 
     rels: List[Relation] = []
     for d, disk in enumerate(config.disks):
-        sub = minimal_disk_relations(MarkedDisk(disk.foliation, family=disk.family),
-                                     window)
         rels.extend(Relation(f"disk{d} {r.label}", r.lhs, r.rhs)
-                    for r in sub.relations)
+                    for r in minimal_disk_relations(disk, window).relations)
     lo, hi = window
     for gi, (dl, al, dr, ar) in enumerate(config.gluings):
         L, R = config.disks[dl], config.disks[dr]
         for s in range(lo, hi + 1):
             rels.append(Relation(f"(G1) g{gi} s={s}",
                                  egen(al, s, L.family), egen(ar, s, R.family)))
-        ml, mr = L.m, R.m
-
-        def cyc(i, m):
-            return ((i - 1) % m) + 1
-
-        skip = {(cyc(al + 1, ml), cyc(ar - 1, mr)), (cyc(al, ml), cyc(ar - 1, mr)),
-                (cyc(al, ml), cyc(ar + 1, mr)), (cyc(al - 1, ml), cyc(ar, mr)),
-                (cyc(al - 1, ml), cyc(ar + 1, mr)), (cyc(al + 1, ml), cyc(ar, mr)),
-                (cyc(al, ml), cyc(ar, mr))}
-        for k in range(1, ml + 1):
-            for l in range(1, mr + 1):
+        # the seam (its (G1) is above) and the arc pairs next to it, where no
+        # far-commutativity holds
+        skip = {((al + a - 1) % L.m + 1, (ar + b - 1) % R.m + 1)
+                for a, b in ((0, 0), (1, -1), (0, -1), (0, 1), (-1, 0), (-1, 1), (1, 0))}
+        for k in range(1, L.m + 1):
+            for l in range(1, R.m + 1):
                 if (k, l) in skip:
                     continue
                 for s in range(lo, hi + 1):
@@ -512,37 +442,28 @@ def naive_presentation(config: Union[SurfaceConfig, dict],
                             q_bracket(egen(k, s, L.family), egen(l, t, R.family), ONE),
                             NCPolynomial.zero()))
 
-    oracle_m = None
-    expand = None
-    if len(config.disks) == 2 and len(config.gluings) == 1:
-        dl, al, dr, ar = config.gluings[0]
+    oracle_m = expand = None
+    gluing = config.gluings[0] if len(config.gluings) == 1 else None
+    # one gluing of two distinct disks is a disk, and is verified through it
+    if len(config.disks) == 2 and gluing and gluing[0] != gluing[2]:
+        dl, al, dr, ar = gluing
         left, right = config.disks[dl], config.disks[dr]
         spec = GluingSpec(MarkedDisk(left.foliation), al, MarkedDisk(right.foliation), ar)
-        beta = beta_map(spec)
-        psi_g = psi_map(glue_result := normalized_gluing(spec)[2])
+        beta, psi_g = beta_map(spec), psi_map(glue(spec))
         n, m2 = left.m, right.m
-
-        def to_normal(g: Generator) -> Generator:
-            # raw arc labels -> normal-position labels used by beta
-            if g.family == left.family:
-                return Generator("E", ((g.index - al - 1) % n) + 1, g.shift)
-            if g.family == right.family:
-                return Generator("F", n - 1 + (g.index - ar) % m2, g.shift)
-            raise ValueError(f"unknown generator {g}")
+        # raw arc i of a disk -> (family, first + (i - arc) % m) in beta's
+        # normal position, where the seam is E_n on the left, F_{n-1} on the right
+        normal = {left.family: ("E", 1, al + 1, n), right.family: ("F", n - 1, ar, m2)}
 
         def expand(g: Generator) -> NCPolynomial:
-            return beta(to_normal(g)).substitute(psi_g)
+            family, first, arc, m = normal[g.family]
+            return beta(Generator(family, first + (g.index - arc) % m, g.shift)
+                        ).substitute(psi_g)
 
         oracle_m = n + m2 - 2
 
     return RelationSet("naive presentation", _used_generators(rels), tuple(rels),
                        oracle_m=oracle_m, expand=expand)
-
-
-def naive_disk_set(disk: MarkedDisk, window: Window) -> RelationSet:
-    rs = minimal_disk_relations(disk, window)
-    return RelationSet("naive presentation", rs.generators, rs.relations,
-                       oracle_m=rs.oracle_m, expand=rs.expand)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ arcs into quiver generators and evaluating in a Hall algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .freealg import NCPolynomial, Relation, q_bracket, zarc
 from .scalar import ONE, RationalFunctionV, V
+
+# the scalar correction v^{-1}/(v^2 - 1) at shift difference 1
+SELF_EXT = V ** -1 / (V ** 2 - ONE)
 
 
 @dataclass(frozen=True)
@@ -289,7 +292,7 @@ def self_skein(x: GradedChord, y: GradedChord) -> Relation:
                         q_bracket(x.element(), y.element(), finv),
                         -base.rhs.scale(finv))
     f = V ** (2 * (-1) ** k)
-    rhs = NCPolynomial.scalar(V ** -1 / (V ** 2 - ONE)) if k == 1 else NCPolynomial.zero()
+    rhs = NCPolynomial.scalar(SELF_EXT) if k == 1 else NCPolynomial.zero()
     return Relation(f"self skein [{x}, {y}]_v^{2 * (-1) ** k}",
                     q_bracket(x.element(), y.element(), f), rhs)
 
@@ -304,13 +307,6 @@ class SurfaceConfig:
 
     disks: Tuple[MarkedDisk, ...]
     gluings: Tuple[Tuple[int, int, int, int], ...]  # (left disk, arc, right disk, arc)
-
-    def glued_arcs(self):
-        out = {}
-        for gi, (dl, al, dr, ar) in enumerate(self.gluings):
-            out[(dl, al)] = (dr, ar)
-            out[(dr, ar)] = (dl, al)
-        return out
 
     def interval_classes(self) -> Dict[Tuple[int, int], int]:
         """Union-find classes of marked intervals under the gluings.

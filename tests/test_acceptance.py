@@ -12,9 +12,9 @@ from fractions import Fraction
 import bruteforce
 from diskhall.freealg import (Generator, NCPolynomial, q_bracket, zab, zgen)
 from diskhall.hall import HallAlgebra, HallElement, simples_assignment
-from diskhall.presentation import (SELF_EXT, alpha_map, beta_image, beta_map,
-                                   cyclic_family, gluing_relations, local_skein_relations,
-                                   minimal_disk_relations, pbw_normal_form,
+from diskhall.presentation import (SELF_EXT, alpha_map, beta_map, cyclic_family,
+                                   local_skein_relations, minimal_disk_relations,
+                                   naive_presentation, pbw_normal_form,
                                    pbw_relations, phi_map, psi_map,
                                    quiver_relations, s_relations, shared_algebra,
                                    verify_relation_set)
@@ -145,6 +145,11 @@ def test_criterion_06_local_skein():
     ok(6, "local skein on (0,1,0,1): both delta branches and zeros, l in -2..3")
 
 
+# the two triangles of criterion 07, glued along arcs (3, 1)
+GLUED = {"disks": [{"m": 3, "h": [1, 0, 0]}] * 2,
+         "gluings": [{"left": 0, "arc_i": 3, "right": 1, "arc_j": 1}]}
+
+
 def test_criterion_07_gluing_and_pentagon():
     t1 = MarkedDisk(FoliationData(3, (1, 0, 0)))
     t2 = MarkedDisk(FoliationData(3, (1, 0, 0)))
@@ -164,13 +169,13 @@ def test_criterion_07_gluing_and_pentagon():
             assert g.substitute(beta).substitute(alpha) == g
 
     # beta-images of both triangles' relations and the seam identity
-    rep = verify_relation_set(gluing_relations(spec, (-1, 1)), (2,))
+    rep = verify_relation_set(naive_presentation(GLUED, (-1, 1)), (2,))
     assert rep["passed"], failures(rep)
     psi_g = psi_map(square)
     alg = shared_algebra(4, 2)
     seam = alg.verify_identity(
-        beta_image(spec, Generator("E", 3, 1)).substitute(psi_g),
-        beta_image(spec, Generator("F", 2, 1)).substitute(psi_g),
+        beta_map(spec)(Generator("E", 3, 1)).substitute(psi_g),
+        beta_map(spec)(Generator("F", 2, 1)).substitute(psi_g),
         simples_assignment(4))
     assert seam["passed"], seam
 

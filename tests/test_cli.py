@@ -208,6 +208,43 @@ def test_lone_bigon_presentation_is_a_usage_error(tmp_path, capsys):
     assert "need m >= 3" in err
 
 
+BIGON_PIECES = {
+    "bigon+triangle": {"disks": [{"m": 2, "h": [0, 0]}, {"m": 3, "h": [1, 0, 0]}],
+                       "gluings": [{"left": 0, "arc_i": 1, "right": 1, "arc_j": 2}]},
+    "bigon+bigon": {"disks": [{"m": 2, "h": [0, 0]}, {"m": 2, "h": [0, 0]}],
+                    "gluings": [{"left": 0, "arc_i": 1, "right": 1, "arc_j": 2}]},
+}
+
+
+@pytest.mark.parametrize("raw", BIGON_PIECES.values(), ids=BIGON_PIECES.keys())
+def test_gluing_with_a_bigon_piece_passes(tmp_path, capsys, raw):
+    """A bigon glued to a disk has no adjacent (R2) commutations: its E_2 is
+    a shift of E_1, so every identity emitted for it holds."""
+    cfg = tmp_path / "surface.json"
+    cfg.write_text(json.dumps(raw))
+    for window in ("0..0", "-1..1"):
+        code, out, _ = run(capsys, "presentation", str(cfg), "--q", "2,3",
+                           f"--shifts={window}")
+        assert code == 0, out
+        assert out.startswith("presentation: pass\n")
+        assert "disk0 (R2) i=" not in out
+
+
+def test_disk_glued_to_itself_is_emission_only(tmp_path, capsys):
+    """Two disks with one gluing that joins a disk to itself is not a glued
+    disk, so no oracle checks it."""
+    raw = {"disks": [{"m": 4, "h": [0, 1, 0, 1]}, {"m": 3, "h": [1, 0, 0]}],
+           "gluings": [{"left": 0, "arc_i": 1, "right": 0, "arc_j": 3}]}
+    cfg = tmp_path / "surface.json"
+    cfg.write_text(json.dumps(raw))
+    with pytest.warns(UserWarning, match="marked intervals"):
+        code, out, err = run(capsys, "presentation", str(cfg), "--q", "2",
+                             "--shifts", "0..0")
+    assert code == 2
+    assert out == ""
+    assert "--emit-only" in err
+
+
 def test_jobs_flag_is_reserved(tmp_path, capsys):
     """``--jobs`` is still accepted and changes nothing in the report."""
     reports = []

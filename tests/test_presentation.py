@@ -5,8 +5,7 @@ import warnings
 import pytest
 
 from diskhall.freealg import Generator, NCPolynomial, Relation, q_bracket, zab, zgen
-from diskhall.presentation import (RelationSet, alpha_map, beta_image, beta_map,
-                                   cyclic_family, gluing_relations,
+from diskhall.presentation import (RelationSet, alpha_map, beta_map, cyclic_family,
                                    minimal_disk_relations, naive_presentation,
                                    pbw_normal_form, pbw_relations, phi_map,
                                    psi_map, quiver_relations, s_relations,
@@ -123,22 +122,50 @@ def test_alpha_beta_inverse_on_generators():
 
 
 def test_beta_image_of_glued_arcs():
-    spec = _triangle_spec()
-    img_e = beta_image(spec, Generator("E", 3, 1))
-    img_f = beta_image(spec, Generator("F", 2, 1))
+    beta = beta_map(_triangle_spec())
+    img_e = beta(Generator("E", 3, 1))
+    img_f = beta(Generator("F", 2, 1))
     # both are brackets purely in the glued family
     for p in (img_e, img_f):
         assert p.generators() and all(g.family == "G" for g in p.generators())
 
 
 def test_gluing_set_covers_both_sides():
-    rs = gluing_relations(_triangle_spec(), (-1, 0))
+    rs = naive_presentation({"disks": [{"m": 3, "h": [1, 0, 0]}] * 2,
+                             "gluings": [{"left": 0, "arc_i": 3, "right": 1, "arc_j": 1}]},
+                            (-1, 0))
     labels = [r.label for r in rs.relations]
-    assert any(l.startswith("left") for l in labels)
-    assert any(l.startswith("right") for l in labels)
-    assert any(l.startswith("(G1)") for l in labels)
-    assert any(l.startswith("(G3)") for l in labels)
+    assert any(l.startswith("disk0") for l in labels)
+    assert any(l.startswith("disk1") for l in labels)
+    assert any(l.startswith("(G1) g0") for l in labels)
+    assert any(l.startswith("(G3) g0") for l in labels)
     assert rs.oracle_m == 4
+
+
+def _two_disks(hl, al, hr, ar):
+    return {"disks": [{"m": len(hl), "h": list(hl)}, {"m": len(hr), "h": list(hr)}],
+            "gluings": [{"left": 0, "arc_i": al, "right": 1, "arc_j": ar}]}
+
+
+TRIANGLE, SQUARE = (1, 0, 0), (0, 1, 0, 1)
+# every arc pair of two triangles; for a triangle and the square, in both
+# orders, pairs that put every arc of each side at the seam
+GLUED_PAIRS = (
+    [(hl, al, hr, ar) for hl in ((1, 0, 0), (0, 1, 0)) for hr in ((1, 0, 0), (0, 0, 1))
+     for al in (1, 2, 3) for ar in (1, 2, 3)]
+    + [(TRIANGLE, at, SQUARE, as_) for at, as_ in ((1, 1), (2, 2), (3, 3), (1, 4))]
+    + [(SQUARE, as_, TRIANGLE, at) for at, as_ in ((1, 1), (2, 2), (3, 3), (1, 4))])
+
+
+@pytest.mark.parametrize("hl, al, hr, ar", GLUED_PAIRS, ids=[
+    f"{''.join(map(str, hl))}@{al}+{''.join(map(str, hr))}@{ar}"
+    for hl, al, hr, ar in GLUED_PAIRS])
+def test_naive_presentation_relabels_every_rotation(hl, al, hr, ar):
+    """The raw arc labels reach beta's normal position whichever arcs are glued."""
+    rs = naive_presentation(_two_disks(hl, al, hr, ar), (0, 0))
+    assert rs.oracle_m == len(hl) + len(hr) - 2
+    rep = verify_relation_set(rs, (2,))
+    assert rep["passed"], [r["label"] for r in rep["results"] if not r["passed"]]
 
 
 def test_naive_presentation_single_disk():
