@@ -8,7 +8,7 @@ from .presentation import (RelationSet, alpha_map, beta_map, cyclic_family,
                            minimal_disk_relations, naive_presentation, pbw_normal_form,
                            pbw_relations, phi_map, psi_map, quiver_relations,
                            s_relations, shared_algebra, verify_relation_set)
-from .repq import DerivedCategory, DerivedObject, FiniteField, QuiverRep, barcode
+from .repq import DerivedCategory, DerivedObject, FiniteField
 from .scalar import ONE, Q, V, QuadraticScalar, RationalFunctionV, evaluate_at
 from .surface import (FoliationData, GluingSpec, GradedChord, MarkedDisk,
                       SurfaceConfig, angle, boundary_skein, crossing, glue,

@@ -259,17 +259,16 @@ def cmd_presentation(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(p, with_m=True):
+def _add_common(p, with_m=True, with_shifts=True):
     if with_m:
         p.add_argument("--m", type=int, default=3, help="number of marked intervals")
     p.add_argument("--q", type=str, default="2,3",
                    help="comma-separated prime powers (default 2,3)")
-    p.add_argument("--shifts", type=str, default="-2..3",
-                   help="shift window lo..hi (default -2..3)")
+    if with_shifts:
+        p.add_argument("--shifts", type=str, default="-2..3",
+                       help="shift window lo..hi (default -2..3)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=str, default=None, help="write report to a file")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved: accepted for compatibility, runs serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multiply", help="product of two expressions in the Hall algebra")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    _add_common(p)
+    _add_common(p, with_shifts=False)
     p.set_defaults(func=cmd_multiply)
 
     p = sub.add_parser("presentation", help="verify or emit a surface presentation")
@@ -333,7 +332,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(_merge_dash_values(list(argv)))
     try:
         args.q = _parse_qs(args.q)
-        args.shifts = _parse_window(args.shifts)
+        if hasattr(args, "shifts"):
+            args.shifts = _parse_window(args.shifts)
         if getattr(args, "h", None) is not None:
             args.h = _parse_ints(args.h)
         _check_out(args.out)

@@ -5,19 +5,21 @@ Everything is computed honestly over F_q:
 
 * ``FiniteField`` -- arithmetic by lookup in ``add_t[x][y]``,
   ``mul_t[x][y]``, ``neg_t`` and ``inv_t``, each entry computed on first
-  use; ``rref`` and the Hom/cone kernels index rows instead of calling
-  methods.
-* ``QuiverRep`` -- vertex vector spaces + arrow matrices.
-* ``barcode`` -- Krull-Schmidt decomposition into interval modules by
-  rank inclusion-exclusion of composite arrow maps.
-* ``DerivedObject`` -- a multiset of shifted intervals (a, b, n); derived
-  Hom spaces and cones are computed on 2-term complexes of projectives,
-  where every Hom(P_i, P_j) with j <= i is one dimensional and composition
-  is multiplication of scalars.  Graded Hom is additive in both arguments
-  and shift-invariant, so ``dhom_dims`` sums a table of pairs of
-  indecomposables M[a,b), M[c,d)[r] keyed by the relative shift r, each
-  entry computed once on its Hom complex.  Automorphism counts follow in
-  closed form from dim End.
+  use; ``rref`` and the cone kernels index rows instead of calling methods.
+* ``DerivedObject`` -- a multiset of shifted intervals (a, b, n); cones are
+  computed on 2-term complexes of projectives, where every Hom(P_i, P_j)
+  with j <= i is one dimensional and composition is multiplication of
+  scalars.  Graded Hom is additive in both arguments and shift-invariant,
+  so ``dhom_dims`` sums a table of pairs M[a,b), M[c,d)[r] keyed by the
+  relative shift r, in closed form (Happel 1988; M[a,b) lives on a..b-1):
+
+      Hom(M[a,b), M[c,d))  = F_q  iff  c <= a < d <= b,
+      Ext1(M[a,b), M[c,d)) = F_q  iff  a < c <= b < d,  else both are 0.
+
+  Automorphism counts follow in closed form from dim End.  Degree-0 Hom
+  is the sum of one-dimensional blocks, one per summand pair with a
+  nonzero entry, each spanned by a basis chain map written down directly;
+  ``enumerate_dhoms`` lists their F_q-combinations.
 * ``cone_counts`` -- N_L = #{w : X -> Y with cone L}, from one cone per
   torus orbit of block-support patterns: Hom between indecomposables is at
   most one dimensional in each degree, cones split over the connected
@@ -26,14 +28,17 @@ Everything is computed honestly over F_q:
 
 ``identify`` names a complex of projectives up to isomorphism.  The
 category is hereditary, so the complex is the sum of the H^d[-d], and the
-intervals of H^d follow (``_intervals``, shared with ``barcode``) from the
-ranks of H^d(i) -> H^d(j), i <= j.  P_u is nonzero at vertex v iff u <= v
+intervals of H^d follow (``_intervals``) from the ranks of
+H^d(i) -> H^d(j), i <= j.  P_u is nonzero at vertex v iff u <= v
 and its arrow maps are inclusions.  With D, D' the differentials out of and
 into degree d, and C(i) spanned by the terms u <= i, B_j lies in ker D, so
 Z_i meets B_j in B_j meet C(i), and
 
     rank H^d(i) -> H^d(j) = #{u <= i} - rank D[:, u <= i] - rank D'[:, u <= j]
                             + rank D'[rows u > i, cols u <= j].
+
+The Hom-complex solver the closed forms replaced, and quiver
+representations with their interval decompositions, are oracles in tests/.
 """
 
 from __future__ import annotations
@@ -204,21 +209,6 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(F: FiniteField, A: Matrix, B: Matrix) -> Matrix:
-    add_t, mul_t = F.add_t, F.mul_t
-    out = zeros(len(A), len(B[0]) if B else 0)
-    for Ai, oi in zip(A, out):
-        for a, Bt in zip(Ai, B):
-            if a:
-                ma = mul_t[a]
-                oi[:] = [add_t[x][ma[y]] for x, y in zip(oi, Bt)]
-    return out
-
-
 def rref(F: FiniteField, M: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row-echelon form and pivot column indices."""
     R = [row[:] for row in M]
@@ -252,95 +242,6 @@ def mat_rank(F: FiniteField, M: Matrix) -> int:
     return len(rref(F, M)[1])
 
 
-def nullspace(F: FiniteField, M: Matrix, cols: Optional[int] = None) -> List[List[int]]:
-    """Basis of the right kernel, as column vectors."""
-    if cols is None:
-        cols = len(M[0]) if M else 0
-    if not M or not M[0]:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    R, pivots = rref(F, M)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg_t[R[r][fc]]
-        basis.append(v)
-    return basis
-
-
-def column_space_extension(F: FiniteField, B: Matrix, K: Matrix) -> List[int]:
-    """Indices of columns of K that extend the column space of B.
-
-    ``B`` and ``K`` are matrices with the same number of rows (columns
-    are vectors); the returned indices select a basis of span(B + K)
-    relative to span(B).
-    """
-    rows = len(B) if B else (len(K) if K else 0)
-    ncb = len(B[0]) if B and B[0] else 0
-    nck = len(K[0]) if K and K[0] else 0
-    if rows == 0 or nck == 0:
-        return []
-    M = [[(B[i][j] if j < ncb else K[i][j - ncb]) for j in range(ncb + nck)]
-         for i in range(rows)]
-    _, pivots = rref(F, M)
-    return [p - ncb for p in pivots if p >= ncb]
-
-
-def columns(vectors: List[List[int]]) -> Matrix:
-    """Stack column vectors into a matrix."""
-    if not vectors:
-        return []
-    rows = len(vectors[0])
-    return [[v[i] for v in vectors] for i in range(rows)]
-
-
-# ---------------------------------------------------------------------------
-# quiver representations
-# ---------------------------------------------------------------------------
-
-class QuiverRep:
-    """A representation of the linear A_{m-1} quiver over ``field``.
-
-    ``dims[i]`` is the dimension at vertex i+1 and ``maps[i]`` the matrix
-    of the arrow (i+1) -> (i+2), of shape dims[i+1] x dims[i].
-    """
-
-    def __init__(self, field: FiniteField, m: int, dims: Sequence[int],
-                 maps: Sequence[Matrix]):
-        if m < 2:
-            raise ValueError("need m >= 2")
-        if len(dims) != m - 1 or len(maps) != max(m - 2, 0):
-            raise ValueError("dims/maps shape mismatch")
-        for i, A in enumerate(maps):
-            if len(A) != dims[i + 1] or any(len(row) != dims[i] for row in A):
-                raise ValueError(f"arrow {i + 1}->{i + 2} has wrong shape")
-        self.field = field
-        self.m = m
-        self.dims = tuple(dims)
-        self.maps = [[row[:] for row in A] for A in maps]
-
-
-def zero_rep(field: FiniteField, m: int) -> QuiverRep:
-    return QuiverRep(field, m, [0] * (m - 1), [[] for _ in range(m - 2)])
-
-
-def interval_rep(field: FiniteField, m: int, a: int, b: int) -> QuiverRep:
-    """The interval module M[a,b) supported on vertices a..b-1."""
-    if not (1 <= a < b <= m):
-        raise ValueError(f"need 1 <= a < b <= m, got [{a},{b})")
-    dims = [1 if a <= v < b else 0 for v in range(1, m)]
-    maps = []
-    for v in range(1, m - 1):  # arrow v -> v+1
-        rows, cols = dims[v], dims[v - 1]
-        A = [[0] * cols for _ in range(rows)]
-        if rows and cols:
-            A[0][0] = 1
-        maps.append(A)
-    return QuiverRep(field, m, dims, maps)
-
-
 def _intervals(m: int, rank) -> Tuple[Tuple[int, int], ...]:
     """Sorted multiset of intervals (a, b) of a representation of A_{m-1}
     whose composite map vertex i -> vertex j has rank ``rank(i, j)`` for
@@ -358,17 +259,6 @@ def _intervals(m: int, rank) -> Tuple[Tuple[int, int], ...]:
                 raise ArithmeticError("negative interval multiplicity")
             out.extend([(a, b)] * mult)
     return tuple(out)
-
-
-def barcode(M: QuiverRep) -> Tuple[Tuple[int, int], ...]:
-    """Multiset of intervals (a, b) in the decomposition of M, sorted."""
-    def rank(i: int, j: int) -> int:
-        comp = identity(M.dims[i - 1])
-        for A in M.maps[i - 1:j - 1]:  # arrows i -> i+1, ..., j-1 -> j
-            comp = mat_mul(M.field, A, comp)
-        return mat_rank(M.field, comp)
-
-    return _intervals(M.m, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -527,66 +417,13 @@ class DerivedCategory:
         self.m = m
         self.field = field
         self._dhom_cache: Dict[Tuple, Dict[int, int]] = {}
-        self._pair_cache: Dict[Tuple[int, int, int, int, int], Dict[int, int]] = {}
         self._aut_cache: Dict[Tuple, int] = {}
-        self._block_cache: Dict[Tuple[int, int, int, int, int], List[Tuple[int, int]]] = {}
         self._cone_cache: Dict[Tuple, DerivedObject] = {}
-
-    # -- complexes and hom-space plumbing -----------------------------------
 
     def complex_of(self, X: DerivedObject) -> _PComplex:
         return _object_complex(self.m, X)
 
-    def _hom_vars(self, cx: _PComplex, cy: _PComplex, n: int):
-        """Coordinates of the degree-n Hom space: maps X^d -> Y^{d+n}."""
-        out = []
-        for d in cx.degrees():
-            src = cx.at(d)
-            dst = cy.at(d + n)
-            for i, w in enumerate(dst):
-                for j, u in enumerate(src):
-                    if w <= u:  # Hom(P_u, P_w) is nonzero iff w <= u
-                        out.append((d, i, j))
-        return out
-
-    def _delta(self, cx: _PComplex, cy: _PComplex, n: int,
-               vars_n, vars_n1) -> Matrix:
-        """Matrix of the Hom-complex differential delta_n = dY f - (-1)^n f dX."""
-        add_t, neg_t = self.field.add_t, self.field.neg_t
-        index_n = {v: c for c, v in enumerate(vars_n)}
-        D = zeros(len(vars_n1), len(vars_n))
-        sign_neg = (n % 2 == 0)  # -(-1)^n: subtract when n even
-        for r, (d, i, j) in enumerate(vars_n1):
-            # component X^d (summand j) -> Y^{d+n+1} (summand i)
-            dy = cy.dmat(d + n)      # Y^{d+n} -> Y^{d+n+1}
-            for t in range(len(cy.at(d + n))):
-                a = dy[i][t] if dy else 0
-                if a:
-                    c = index_n.get((d, t, j))
-                    if c is not None:
-                        D[r][c] = add_t[D[r][c]][a]
-            dx = cx.dmat(d)          # X^d -> X^{d+1}
-            for s in range(len(cx.at(d + 1))):
-                a = dx[s][j] if dx else 0
-                if a:
-                    c = index_n.get((d + 1, i, s))
-                    if c is not None:
-                        D[r][c] = add_t[D[r][c]][neg_t[a] if sign_neg else a]
-        return D
-
-    def _hom_degree_dim(self, cx: _PComplex, cy: _PComplex, n: int) -> int:
-        vn = self._hom_vars(cx, cy, n)
-        if not vn:
-            return 0
-        vn1 = self._hom_vars(cx, cy, n + 1)
-        vm1 = self._hom_vars(cx, cy, n - 1)
-        dn = self._delta(cx, cy, n, vn, vn1)
-        dm = self._delta(cx, cy, n - 1, vm1, vn)
-        cocycles = len(vn) - mat_rank(self.field, dn)
-        coboundaries = mat_rank(self.field, dm)
-        return cocycles - coboundaries
-
-    # -- public operations ---------------------------------------------------
+    # -- graded Hom ----------------------------------------------------------
 
     def dhom_dims(self, X: DerivedObject, Y: DerivedObject) -> Dict[int, int]:
         """Graded dims: degree k -> dim Hom(X, Y[k]); zero degrees omitted.
@@ -608,60 +445,36 @@ class DerivedCategory:
         return out
 
     def _pair_dims(self, a: int, b: int, c: int, d: int, r: int) -> Dict[int, int]:
-        """Graded dims of Hom(M[a,b), M[c,d)[r][k]), computed once per pair
-        on the Hom complex of the two one-summand projective complexes."""
-        key = (a, b, c, d, r)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        cx = self.complex_of(DerivedObject(((a, b, 0),)))
-        cy = self.complex_of(DerivedObject(((c, d, r),)))
-        dxs, dys = cx.degrees(), cy.degrees()
-        out: Dict[int, int] = {}
-        for n in range(dys[0] - dxs[-1], dys[-1] - dxs[0] + 1):
-            dim = self._hom_degree_dim(cx, cy, n)
-            if dim:
-                out[n] = dim
-        self._pair_cache[key] = out
-        return out
+        """Graded dims of Hom(M[a,b), M[c,d)[r][k]) in closed form (module
+        docstring): Hom of the modules sits in degree -r, Ext1 in 1 - r."""
+        if c <= a < d <= b:
+            return {-r: 1}
+        if a < c <= b < d:
+            return {1 - r: 1}
+        return {}
 
     def euler_form(self, X: DerivedObject, Y: DerivedObject) -> int:
         return sum((-1) ** (k % 2) * d for k, d in self.dhom_dims(X, Y).items())
 
-    def _dhom_basis(self, cx: _PComplex, cy: _PComplex):
-        """Degree-0 cochain coordinates and cocycle vectors whose classes
-        form a basis of homotopy classes of chain maps cx -> cy."""
-        F = self.field
-        v0 = self._hom_vars(cx, cy, 0)
-        if not v0:
-            return v0, []
-        v1 = self._hom_vars(cx, cy, 1)
-        vm1 = self._hom_vars(cx, cy, -1)
-        d0 = self._delta(cx, cy, 0, v0, v1)
-        dm1 = self._delta(cx, cy, -1, vm1, v0)
-        cocycles = nullspace(F, d0, len(v0))
-        image = [[dm1[i][j] for i in range(len(v0))] for j in range(len(vm1))]
-        picked = column_space_extension(F, columns(image), columns(cocycles))
-        return v0, [cocycles[i] for i in picked]
+    def _hom_blocks(self, X: DerivedObject, Y: DerivedObject) -> List[Tuple[int, int]]:
+        """The summand pairs (i, j) with Hom(X_i, Y_j) != 0 in degree 0;
+        each such block is one dimensional, spanned by its basis map."""
+        edges = []
+        for i, (a, b, n) in enumerate(X.summands):
+            for j, (c, d, k) in enumerate(Y.summands):
+                dim = self._pair_dims(a, b, c, d, k - n).get(0, 0)
+                if dim > 1:
+                    raise ArithmeticError(f"Hom block of dimension {dim}")
+                if dim:
+                    edges.append((i, j))
+        return edges
 
     def enumerate_dhoms(self, X: DerivedObject, Y: DerivedObject) -> List[DMorphism]:
-        """All homotopy classes of degree-0 maps X -> Y, with representatives."""
-        F = self.field
-        cx, cy = self.complex_of(X), self.complex_of(Y)
-        v0, reps = self._dhom_basis(cx, cy)
-        out = []
-        add_t, mul_t = F.add_t, F.mul_t
-        for coeffs in itertools.product(F.elements(), repeat=len(reps)):
-            vec = [0] * len(v0)
-            for c, rep in zip(coeffs, reps):
-                if c:
-                    vec = [add_t[x][mul_t[r][c]] for x, r in zip(vec, rep)]
-            maps = {d: zeros(len(cy.at(d)), len(cx.at(d))) for d in cx.degrees()}
-            for c, (d, i, j) in enumerate(v0):
-                if vec[c]:
-                    maps[d][i][j] = vec[c]
-            out.append(DMorphism(maps, cx, cy))
-        return out
+        """All homotopy classes of degree-0 maps X -> Y, one representative
+        each: the F_q-combinations of the basis maps of the blocks."""
+        blocks = self._hom_blocks(X, Y)
+        return [self._block_morphism(X, Y, [(i, j, v) for (i, j), v in zip(blocks, values) if v])
+                for values in itertools.product(self.field.elements(), repeat=len(blocks))]
 
     # -- cone counts over torus orbits of support patterns -------------------
 
@@ -685,14 +498,7 @@ class DerivedCategory:
         forest support needs one cone, whatever q is.
         """
         xs, ys = X.summands, Y.summands
-        edges = []
-        for i, (a, b, n) in enumerate(xs):
-            for j, (c, d, k) in enumerate(ys):
-                dim = self._pair_dims(a, b, c, d, k - n).get(0, 0)
-                if dim > 1:
-                    raise ArithmeticError(f"Hom block of dimension {dim}")
-                if dim:
-                    edges.append((i, j))
+        edges = self._hom_blocks(X, Y)
         q = self.field.q
         counts: Dict[DerivedObject, int] = {}
         for mask in range(1 << len(edges)):
@@ -736,27 +542,22 @@ class DerivedCategory:
         cx, cy = self.complex_of(X), self.complex_of(Y)
         px, py = _term_positions(self.m, X), _term_positions(self.m, Y)
         maps = {d: zeros(len(cy.at(d)), len(cx.at(d))) for d in cx.degrees()}
-        mul_t = self.field.mul_t
         for i, j, value in edges:
-            (a, b, n), (c, d, k) = X.summands[i], Y.summands[j]
-            for deg, x in self._pair_block(a, b, c, d, k - n):
+            (_a, b, n), (_c, _d, k) = X.summands[i], Y.summands[j]
+            for deg in self._pair_block(b, k - n):
                 D = deg - n  # the pair's source sits at shift 0, X_i at shift n
-                maps[D][py[j][D]][px[i][D]] = mul_t[x][value]
+                maps[D][py[j][D]][px[i][D]] = value
         return DMorphism(maps, cx, cy)
 
-    def _pair_block(self, a: int, b: int, c: int, d: int, r: int) -> List[Tuple[int, int]]:
-        """The basis chain map M[a,b) -> M[c,d)[r] of a one-dimensional
-        degree-0 Hom, as (degree, scalar) entries: each of the two
-        one-summand complexes has at most one term per degree."""
-        key = (a, b, c, d, r)
-        block = self._block_cache.get(key)
-        if block is None:
-            cx = self.complex_of(DerivedObject(((a, b, 0),)))
-            cy = self.complex_of(DerivedObject(((c, d, r),)))
-            v0, (rep,) = self._dhom_basis(cx, cy)
-            block = self._block_cache[key] = [
-                (deg, x) for (deg, _i, _j), x in zip(v0, rep) if x]
-        return block
+    def _pair_block(self, b: int, r: int) -> Tuple[int, ...]:
+        """The degrees, lowest first, where the basis chain map of a
+        one-dimensional degree-0 Hom(M[a,b), M[c,d)[r]) is 1; it is 0
+        elsewhere.  A Hom (r = 0) is 1 on P_a -> P_c in degree 0 and, when
+        P_b exists (b < m, so d <= b < m), on P_b -> P_d in degree -1; an
+        Ext1 (r = 1) is 1 on P_b -> P_c in degree -1."""
+        if r == 1:
+            return (-1,)
+        return (-1, 0) if b < self.m else (0,)
 
     # -- identification of a projective complex -----------------------------
 

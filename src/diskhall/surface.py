@@ -337,6 +337,9 @@ class SurfaceConfig:
         return {k: find(k) for k in parent}
 
     def validate(self):
+        families = [disk.family for disk in self.disks]
+        if len(set(families)) != len(families):
+            raise ValueError(f"disks share a generator family: {families}")
         glued = set()
         for dl, al, dr, ar in self.gluings:
             for d, a in ((dl, al), (dr, ar)):

@@ -4,7 +4,10 @@
 the route the tables replaced: every call unpacks base-p digits, multiplies
 polynomials and reduces them modulo the field's irreducible modulus, and an
 inverse is found by search.  ``rref``, ``nullspace`` and ``mat_mul`` here make
-one method call per entry, as the package's kernels did before.
+one method call per entry, as the package's kernels did before.  They take
+any field with ``add``/``sub``/``neg``/``mul``/``inv`` methods, so the other
+oracles run ``nullspace`` and ``mat_mul``, which the package does not need,
+on the package's ``FiniteField``.
 """
 
 from typing import List, Optional, Sequence, Tuple

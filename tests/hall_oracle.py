@@ -23,6 +23,12 @@ the endomorphisms that act invertibly on homology in every degree and at
 every vertex.  Both counts enumerate Hom sets, so they are only practical
 on small objects.
 
+The Hom complex (``pair_dims``, ``pair_block``, ``enumerate_dhoms``): the
+package reads graded Hom between two shifted intervals, and the basis chain
+map of a one-dimensional Hom, off a closed form.  The route this replaced
+solves the Hom complex of the projective complexes, and lists the homotopy
+classes of maps between whole objects for the two-sweep counts above.
+
 Identification by homology (``identify_by_homology``): the package names a
 complex of projectives from ranks of submatrices of its differentials.  The
 route this replaced builds each homology representation H^d (kernel bases,
@@ -31,12 +37,14 @@ and arrow) and barcodes it.  ``aut_count`` above uses the same homology
 bases.
 """
 
+import itertools
 from fractions import Fraction
 
 from diskhall.hall import HallElement
-from diskhall.repq import (DerivedObject, QuiverRep, barcode, column_space_extension,
-                           columns, mat_rank, nullspace, rref, zeros)
+from diskhall.repq import DerivedObject, DMorphism, mat_rank, rref, zeros
 from diskhall.scalar import QuadraticScalar, evaluate_at
+from field_oracle import nullspace
+from rep_oracle import QuiverRep, barcode
 
 
 def basis_product(alg, X, Y):
@@ -79,6 +87,119 @@ def evaluate_expanded(alg, polys, assign, expand):
     return alg.evaluate_many([p.substitute(expand) for p in polys], assign)
 
 
+def columns(vectors):
+    """Stack column vectors into a matrix (a matrix's columns, read back)."""
+    return [list(row) for row in zip(*vectors)]
+
+
+def column_space_extension(F, base, new):
+    """Indices of the vectors ``new`` that extend the span of ``base`` to
+    the span of both."""
+    _, pivots = rref(F, columns(base + new))
+    return [p - len(base) for p in pivots if p >= len(base)]
+
+
+def hom_vars(cx, cy, n):
+    """Coordinates of the degree-n Hom space: maps X^d -> Y^{d+n}."""
+    out = []
+    for d in cx.degrees():
+        src = cx.at(d)
+        dst = cy.at(d + n)
+        for i, w in enumerate(dst):
+            for j, u in enumerate(src):
+                if w <= u:  # Hom(P_u, P_w) is nonzero iff w <= u
+                    out.append((d, i, j))
+    return out
+
+
+def delta(cat, cx, cy, n, vars_n, vars_n1):
+    """Matrix of the Hom-complex differential delta_n = dY f - (-1)^n f dX."""
+    F = cat.field
+    index_n = {v: c for c, v in enumerate(vars_n)}
+    D = zeros(len(vars_n1), len(vars_n))
+    sign_neg = (n % 2 == 0)  # -(-1)^n: subtract when n even
+    for r, (d, i, j) in enumerate(vars_n1):
+        # component X^d (summand j) -> Y^{d+n+1} (summand i)
+        dy = cy.dmat(d + n)      # Y^{d+n} -> Y^{d+n+1}
+        for t in range(len(cy.at(d + n))):
+            a = dy[i][t] if dy else 0
+            if a:
+                c = index_n.get((d, t, j))
+                if c is not None:
+                    D[r][c] = F.add(D[r][c], a)
+        dx = cx.dmat(d)          # X^d -> X^{d+1}
+        for s in range(len(cx.at(d + 1))):
+            a = dx[s][j] if dx else 0
+            if a:
+                c = index_n.get((d + 1, i, s))
+                if c is not None:
+                    D[r][c] = F.add(D[r][c], F.neg(a) if sign_neg else a)
+    return D
+
+
+def hom_complex(cat, cx, cy, n):
+    """Degree-n cochain coordinates and the differentials out of and into
+    degree n."""
+    vn, vm1 = hom_vars(cx, cy, n), hom_vars(cx, cy, n - 1)
+    return (vn, delta(cat, cx, cy, n, vn, hom_vars(cx, cy, n + 1)),
+            delta(cat, cx, cy, n - 1, vm1, vn))
+
+
+def hom_degree_dim(cat, cx, cy, n):
+    """dim H^n of the Hom complex: cocycles minus coboundaries."""
+    vn, dn, dm = hom_complex(cat, cx, cy, n)
+    return len(vn) - mat_rank(cat.field, dn) - mat_rank(cat.field, dm) if vn else 0
+
+
+def pair_dims(cat, a, b, c, d, r):
+    """Graded dims of Hom(M[a,b), M[c,d)[r][k]) on the Hom complex of the
+    two one-summand projective complexes, lowest degree first."""
+    cx = cat.complex_of(DerivedObject(((a, b, 0),)))
+    cy = cat.complex_of(DerivedObject(((c, d, r),)))
+    dxs, dys = cx.degrees(), cy.degrees()
+    dims = {n: hom_degree_dim(cat, cx, cy, n)
+            for n in range(dys[0] - dxs[-1], dys[-1] - dxs[0] + 1)}
+    return {n: dim for n, dim in dims.items() if dim}
+
+
+def dhom_basis(cat, cx, cy):
+    """Degree-0 cochain coordinates and cocycle vectors whose classes
+    form a basis of homotopy classes of chain maps cx -> cy."""
+    v0, d0, dm1 = hom_complex(cat, cx, cy, 0)
+    if not v0:
+        return v0, []
+    cocycles = nullspace(cat.field, d0, len(v0))
+    return v0, [cocycles[i] for i in column_space_extension(cat.field, columns(dm1), cocycles)]
+
+
+def pair_block(cat, a, b, c, d, r):
+    """The basis chain map M[a,b) -> M[c,d)[r] of a one-dimensional
+    degree-0 Hom, as (degree, scalar) entries in cochain order."""
+    cx = cat.complex_of(DerivedObject(((a, b, 0),)))
+    cy = cat.complex_of(DerivedObject(((c, d, r),)))
+    v0, (rep,) = dhom_basis(cat, cx, cy)
+    return [(deg, x) for (deg, _i, _j), x in zip(v0, rep) if x]
+
+
+def enumerate_dhoms(cat, X, Y):
+    """All homotopy classes of degree-0 maps X -> Y, with representatives."""
+    F = cat.field
+    cx, cy = cat.complex_of(X), cat.complex_of(Y)
+    v0, reps = dhom_basis(cat, cx, cy)
+    out = []
+    for coeffs in itertools.product(F.elements(), repeat=len(reps)):
+        vec = [0] * len(v0)
+        for c, rep in zip(coeffs, reps):
+            if c:
+                vec = [F.add(x, F.mul(r, c)) for x, r in zip(vec, rep)]
+        maps = {d: zeros(len(cy.at(d)), len(cx.at(d))) for d in cx.degrees()}
+        for c, (d, i, j) in enumerate(v0):
+            if vec[c]:
+                maps[d][i][j] = vec[c]
+        out.append(DMorphism(maps, cx, cy))
+    return out
+
+
 def solve(F, A, b):
     """One solution x of A x = b, or None."""
     rows = len(A)
@@ -109,7 +230,7 @@ def _homology_data(cat, c):
             ker = nullspace(F, [[D[i][j] for j in cols_here] for i in rows], len(cols_here))
             pcols = [j for j, u in enumerate(prev) if u <= v]
             img_vecs = [[Dp[i][j] for i in cols_here] for j in pcols]
-            picked = column_space_extension(F, columns(img_vecs), columns(ker))
+            picked = column_space_extension(F, img_vecs, ker)
             per_vertex.append({"cols": cols_here, "image": img_vecs,
                                "hbasis": [ker[i] for i in picked]})
         result[d] = per_vertex
@@ -162,7 +283,7 @@ def aut_count(cat, X) -> int:
     cx = cat.complex_of(X)
     hdata = _homology_data(cat, cx)
     solved = {}
-    return sum(1 for f in cat.enumerate_dhoms(X, X)
+    return sum(1 for f in enumerate_dhoms(cat, X, X)
                if _induces_iso(cat, cx, hdata, f, solved))
 
 
@@ -210,7 +331,7 @@ def _induces_iso(cat, c, hdata, f, solved) -> bool:
 def structure_constant(alg, X, Y, L) -> Fraction:
     """F^L_{X,Y} by counting the morphisms X -> L whose cone is Y."""
     cat = alg.category
-    count = sum(1 for f in cat.enumerate_dhoms(X, L) if cat.cone(f) == Y)
+    count = sum(1 for f in enumerate_dhoms(cat, X, L) if cat.cone(f) == Y)
     if count == 0:
         return Fraction(0)
     return Fraction(count, aut_count(cat, X)) * alg.braces(X, L) / alg.braces(X, X)

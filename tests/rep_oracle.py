@@ -1,16 +1,69 @@
-"""Rep-level Hom and Ext of quiver representations, kept as a second route.
+"""Quiver representations, their barcodes, and rep-level Hom and Ext.
 
-The package computes graded Hom between derived objects on 2-term complexes
-of projectives.  These functions compute the same spaces for modules from
-the representations themselves: Hom(M, N) as the solutions of the
-commuting-square linear system, and Ext^1(M, N) as the cokernel of the map
-d whose kernel is Hom(M, N).  ``direct_sum`` builds the modules the dual-route
-tests compare on.
+The package works with derived objects only.  Here a ``QuiverRep`` holds
+vertex spaces and arrow matrices; ``barcode`` splits one into intervals from
+the ranks of its composite arrow maps; Hom(M, N) solves the commuting-square
+system, and Ext^1(M, N) is the cokernel of the map d whose kernel is Hom.
 """
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
-from diskhall.repq import Matrix, QuiverRep, mat_rank, nullspace, zeros
+from diskhall.repq import FiniteField, Matrix, _intervals, mat_rank, zeros
+from field_oracle import mat_mul, nullspace
+
+
+class QuiverRep:
+    """A representation of the linear A_{m-1} quiver over ``field``.
+
+    ``dims[i]`` is the dimension at vertex i+1 and ``maps[i]`` the matrix
+    of the arrow (i+1) -> (i+2), of shape dims[i+1] x dims[i].
+    """
+
+    def __init__(self, field: FiniteField, m: int, dims: Sequence[int],
+                 maps: Sequence[Matrix]):
+        if m < 2:
+            raise ValueError("need m >= 2")
+        if len(dims) != m - 1 or len(maps) != max(m - 2, 0):
+            raise ValueError("dims/maps shape mismatch")
+        for i, A in enumerate(maps):
+            if len(A) != dims[i + 1] or any(len(row) != dims[i] for row in A):
+                raise ValueError(f"arrow {i + 1}->{i + 2} has wrong shape")
+        self.field = field
+        self.m = m
+        self.dims = tuple(dims)
+        self.maps = [[row[:] for row in A] for A in maps]
+
+
+def zero_rep(field: FiniteField, m: int) -> QuiverRep:
+    return QuiverRep(field, m, [0] * (m - 1), [[] for _ in range(m - 2)])
+
+
+def interval_rep(field: FiniteField, m: int, a: int, b: int) -> QuiverRep:
+    """The interval module M[a,b) supported on vertices a..b-1."""
+    if not (1 <= a < b <= m):
+        raise ValueError(f"need 1 <= a < b <= m, got [{a},{b})")
+    dims = [1 if a <= v < b else 0 for v in range(1, m)]
+    maps = []
+    for v in range(1, m - 1):  # arrow v -> v+1
+        rows, cols = dims[v], dims[v - 1]
+        A = [[0] * cols for _ in range(rows)]
+        if rows and cols:
+            A[0][0] = 1
+        maps.append(A)
+    return QuiverRep(field, m, dims, maps)
+
+
+def barcode(M: QuiverRep) -> Tuple[Tuple[int, int], ...]:
+    """Multiset of intervals (a, b) in the decomposition of M, sorted, by
+    the package's inclusion-exclusion over ranks of composite arrow maps."""
+    def rank(i: int, j: int) -> int:
+        n = M.dims[i - 1]
+        comp = [[int(r == c) for c in range(n)] for r in range(n)]
+        for A in M.maps[i - 1:j - 1]:  # arrows i -> i+1, ..., j-1 -> j
+            comp = mat_mul(M.field, A, comp)
+        return mat_rank(M.field, comp)
+
+    return _intervals(M.m, rank)
 
 
 def direct_sum(reps: Sequence[QuiverRep]) -> QuiverRep:

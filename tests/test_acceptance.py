@@ -18,13 +18,12 @@ from diskhall.presentation import (SELF_EXT, alpha_map, beta_map, cyclic_family,
                                    pbw_relations, phi_map, psi_map,
                                    quiver_relations, s_relations, shared_algebra,
                                    verify_relation_set)
-from diskhall.repq import DerivedCategory, DerivedObject, FiniteField, barcode, \
-    interval_rep, zero_rep
+from diskhall.repq import DerivedCategory, DerivedObject, FiniteField
 from diskhall.scalar import ONE, V, QuadraticScalar, evaluate_at
 from diskhall.surface import (FoliationData, GluingSpec, GradedChord, MarkedDisk,
                               glue, skein_commutator)
 
-from rep_oracle import direct_sum
+from rep_oracle import barcode, direct_sum, interval_rep, zero_rep
 from test_repq import base_change, random_invertible, random_rep
 
 

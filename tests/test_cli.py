@@ -245,17 +245,16 @@ def test_disk_glued_to_itself_is_emission_only(tmp_path, capsys):
     assert "--emit-only" in err
 
 
-def test_jobs_flag_is_reserved(tmp_path, capsys):
-    """``--jobs`` is still accepted and changes nothing in the report."""
-    reports = []
-    for jobs in ("1", "2"):
-        target = tmp_path / f"jobs{jobs}.json"
-        code, _, _ = run(capsys, "verify-quiver", "--m", "3", "--shifts", "0..1",
-                         "--q", "2,3", "--format", "json", "--jobs", jobs,
-                         "--out", str(target))
-        assert code == 0
-        reports.append(target.read_bytes())
-    assert reports[0] == reports[1]
+def test_removed_options_are_usage_errors(capsys):
+    """``--jobs`` is gone, and ``multiply`` takes no shift window: both are
+    unknown options, exit 2."""
+    for argv in (["verify-quiver", "--m", "3", "--shifts", "0..1", "--q", "2", "--jobs", "1"],
+                 ["multiply", "z[1,0]", "z[1,0]", "--m", "2", "--q", "2",
+                  "--shifts", "0..0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_large_field_uses_bounded_memory(tmp_path):

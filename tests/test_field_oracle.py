@@ -3,8 +3,8 @@
 Every entry of add/sub/neg/mul/inv is compared with ``field_oracle`` for
 small fields, including F_16 and F_32 whose moduli are found by search, and
 sampled entries for large ones, whose tables must hold only what was looked
-up.  The table-driven ``rref``, ``nullspace`` and ``mat_mul`` are compared
-with the oracle's one-call-per-entry versions on seeded random matrices.
+up.  The table-driven ``rref`` is compared with the oracle's
+one-call-per-entry version on seeded random matrices.
 """
 
 import random
@@ -13,7 +13,7 @@ import pytest
 
 import field_oracle
 from diskhall import repq
-from diskhall.repq import FiniteField, mat_mul, nullspace, rref
+from diskhall.repq import FiniteField, rref
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
@@ -60,7 +60,7 @@ def random_matrix(F, rows, cols, rng):
         return [[rng.randrange(F.q) for _ in range(cols)] for _ in range(rows)]
     A = [[rng.randrange(F.q) for _ in range(rank)] for _ in range(rows)]
     B = [[rng.randrange(F.q) for _ in range(cols)] for _ in range(rank)]
-    return mat_mul(F, A, B)
+    return field_oracle.mat_mul(F, A, B)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
@@ -74,9 +74,5 @@ def test_linear_algebra_matches_oracle(q):
         M = random_matrix(F, rows, cols, rng)
         R, pivots = rref(F, M)
         assert (R, pivots) == field_oracle.rref(O, M)
-        assert nullspace(F, M, cols) == field_oracle.nullspace(O, M, cols)
         deficient += len(pivots) < min(rows, cols)
-        width = rng.randint(1, 6)
-        N = [[rng.randrange(q) for _ in range(width)] for _ in range(cols)]
-        assert mat_mul(F, M, N) == field_oracle.mat_mul(O, M, N)
     assert deficient > 20

@@ -5,15 +5,16 @@ The package's derived Riedtmann formula and closed-form |Aut| are checked
 against the two-sweep enumerations they replaced (``hall_oracle``) on all
 small cases: products with dim X + dim Y <= 3 and objects of total dimension
 <= 3, with summand shifts in 0..2, taken up to an overall shift (which is an
-autoequivalence).  The product cache, which sweeps only the pair translated
-to lowest shift 0, is checked on pairs translated by -2 and +3; the graded
-Hom dims, summed from a table of summand pairs, are checked against the Hom
-complex of the whole objects.  ``identify``, which reads each homology map's
-rank off submatrices of a cone's differentials, is checked against the
-homology representations it replaced, on seeded random chain maps and on
-every component cone of the cyclic supports.
+autoequivalence).  The product cache is checked on pairs translated by -2
+and +3; the closed-form table of summand pairs against their Hom complex,
+and the graded Hom dims summed from it, and the maps ``enumerate_dhoms``
+lists, against the Hom complex of the whole objects.  ``identify``, which
+reads each homology map's rank off submatrices of a cone's differentials,
+is checked against the homology representations it replaced, on seeded
+random chain maps and on every component cone of the cyclic supports.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -23,9 +24,9 @@ import pytest
 
 import hall_oracle
 from diskhall.hall import HallAlgebra
-from diskhall.repq import (DMorphism, DerivedCategory, DerivedObject, FiniteField, nullspace,
-                           zeros)
+from diskhall.repq import DMorphism, DerivedCategory, DerivedObject, FiniteField, zeros
 from diskhall.scalar import QuadraticScalar
+from field_oracle import nullspace, rref
 
 #: largest dim End X checked at each q.  The enumerating oracle visits all
 #: q^{dim End X} endomorphisms, so at q = 4 the six objects with dim End 9
@@ -69,7 +70,7 @@ def full_complex_dims(cat, X, Y):
         return {}
     cx, cy = cat.complex_of(X), cat.complex_of(Y)
     dxs, dys = cx.degrees(), cy.degrees()
-    dims = {n: cat._hom_degree_dim(cx, cy, n)
+    dims = {n: hall_oracle.hom_degree_dim(cat, cx, cy, n)
             for n in range(dys[0] - dxs[-1], dys[-1] - dxs[0] + 1)}
     return {n: d for n, d in dims.items() if d}
 
@@ -78,7 +79,7 @@ def morphism_sweep(cat, X, Y):
     """N_L for every cone class L, from one cone per morphism X -> Y of the
     whole objects: the route ``cone_counts`` replaces."""
     counts = {}
-    for w in cat.enumerate_dhoms(X, Y):
+    for w in hall_oracle.enumerate_dhoms(cat, X, Y):
         L = cat.cone(w)
         counts[L] = counts.get(L, 0) + 1
     return counts
@@ -183,9 +184,9 @@ def random_chain_map(cat, X, Y, rng):
     complexes of X and Y (any cocycle, not only a class representative)."""
     F = cat.field
     cx, cy = cat.complex_of(X), cat.complex_of(Y)
-    v0, v1 = cat._hom_vars(cx, cy, 0), cat._hom_vars(cx, cy, 1)
+    v0, v1 = hall_oracle.hom_vars(cx, cy, 0), hall_oracle.hom_vars(cx, cy, 1)
     vec = [0] * len(v0)
-    for z in nullspace(F, cat._delta(cx, cy, 0, v0, v1), len(v0)) if v0 else []:
+    for z in nullspace(F, hall_oracle.delta(cat, cx, cy, 0, v0, v1), len(v0)) if v0 else []:
         c = rng.randrange(F.q)
         vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, z)]
     maps = {d: zeros(len(cy.at(d)), len(cx.at(d))) for d in cx.degrees()}
@@ -257,16 +258,41 @@ def test_square_matrix_support_counts_ranks(q):
 
 def test_hom_between_indecomposables_is_at_most_one_dimensional():
     """The fact that splits Hom(Y[-1], X) into one-dimensional blocks:
-    every entry of the pair table is <= 1, for m <= 7 and relative shifts
-    -3..3 (so every degree of every pair is covered, degree 0 included)."""
+    every entry of the Hom-complex pair table is <= 1, for m <= 7 and
+    relative shifts -3..3 (so every degree of every pair is covered,
+    degree 0 included)."""
     for m in range(2, 8):
         cat = DerivedCategory(m, FiniteField(2))
         intervals = [(a, b) for a in range(1, m) for b in range(a + 1, m + 1)]
         for (a, b), (c, d) in itertools.product(intervals, repeat=2):
             for r in range(-3, 4):
-                dims = cat._pair_dims(a, b, c, d, r)
+                dims = hall_oracle.pair_dims(cat, a, b, c, d, r)
                 assert all(dim == 1 for dim in dims.values()), (m, a, b, c, d, r, dims)
-        assert cat._pair_dims(1, 2, 1, 2, 0) == {0: 1}
+        assert hall_oracle.pair_dims(cat, 1, 2, 1, 2, 0) == {0: 1}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_closed_form_pair_table_matches_hom_complex(q):
+    """The closed-form pair table and basis blocks against the Hom complex:
+    every pair of intervals for m <= 8 and relative shifts -4..4, with the
+    degrees in the same order, and on every one-dimensional degree-0 pair
+    the block is the cocycle the Hom complex picks, entry for entry."""
+    entries = blocks = 0
+    for m in range(2, 9):
+        cat = DerivedCategory(m, FiniteField(q))
+        intervals = [(a, b) for a in range(1, m) for b in range(a + 1, m + 1)]
+        for (a, b), (c, d) in itertools.product(intervals, repeat=2):
+            for r in range(-4, 5):
+                expected = hall_oracle.pair_dims(cat, a, b, c, d, r)
+                key = (m, a, b, c, d, r)
+                assert list(cat._pair_dims(a, b, c, d, r).items()) == \
+                    list(expected.items()), key
+                entries += 1
+                if expected.get(0):
+                    assert [(deg, 1) for deg in cat._pair_block(b, r)] == \
+                        hall_oracle.pair_block(cat, a, b, c, d, r), key
+                    blocks += 1
+    assert (entries, blocks) == (14364, 714)
 
 
 def test_block_of_dimension_two_is_refused(monkeypatch):
@@ -291,6 +317,41 @@ def test_dhom_dims_sum_the_pair_table(q):
             assert list(cat.dhom_dims(X, Y).items()) == list(expected.items()), (X, Y)
             pairs += 1
     assert pairs > 4000
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_enumerate_dhoms_lists_every_class_once(q):
+    """The package's enumeration, built from the closed-form blocks, against
+    the Hom complex of the whole objects: every map is a degree-0 cocycle,
+    and the maps fall in q^k distinct classes modulo coboundaries, k = dim
+    H^0 there; for dim X + dim Y <= 3, shifts -1..1."""
+    pairs = 0
+    for m in (2, 3, 4):
+        cat = DerivedCategory(m, FiniteField(q))
+        F = cat.field
+        objs = objects(m, 2, shifts=range(-1, 2))
+        for X, Y in itertools.product(objs, repeat=2):
+            if dimension(X) + dimension(Y) > 3:
+                continue
+            cx, cy = cat.complex_of(X), cat.complex_of(Y)
+            v0, d0, dm1 = hall_oracle.hom_complex(cat, cx, cy, 0)
+            R, pivots = rref(F, hall_oracle.columns(dm1)) if dm1 and dm1[0] else ([], [])
+            classes = set()
+            for f in cat.enumerate_dhoms(X, Y):
+                vec = [f.maps[d][i][j] for (d, i, j) in v0]
+                # no entry off the Hom(P_u, P_w) coordinates, and delta_0 f = 0
+                assert sum(1 for x in vec if x) == sum(
+                    1 for A in f.maps.values() for row in A for x in row if x), (X, Y)
+                for row in d0:
+                    assert functools.reduce(F.add, map(F.mul, row, vec), 0) == 0, (X, Y)
+                for row, c in zip(R, pivots):
+                    if vec[c]:
+                        s = vec[c]
+                        vec = [F.sub(x, F.mul(s, y)) for x, y in zip(vec, row)]
+                classes.add(tuple(vec))
+            assert len(classes) == q ** hall_oracle.hom_degree_dim(cat, cx, cy, 0), (X, Y)
+            pairs += 1
+    assert pairs > 1000
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

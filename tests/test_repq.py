@@ -1,8 +1,8 @@
 """Finite fields, quiver representations, barcodes, derived objects.
 
 The key checks are dual-route: rep-level Hom/Ext computed from commuting
-squares must agree with the derived Hom spaces computed on projective
-complexes, and barcodes must be stable under base change.
+squares (``rep_oracle``) must agree with the package's closed-form derived
+Hom spaces, and barcodes must be stable under base change.
 """
 
 import itertools
@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from diskhall.repq import (DerivedCategory, DerivedObject, FiniteField, QuiverRep,
-                           barcode, identity, interval_rep, mat_mul, mat_rank, rref,
-                           zero_rep)
-from rep_oracle import direct_sum, ext1_space, hom_dim
+from diskhall.repq import DerivedCategory, DerivedObject, FiniteField, mat_rank, rref
+from field_oracle import mat_mul
+from rep_oracle import (QuiverRep, barcode, direct_sum, ext1_space, hom_dim, interval_rep,
+                        zero_rep)
 
 
 # -- field axioms (exhaustive: the fields are tiny) --------------------------
@@ -62,7 +62,7 @@ def random_invertible(F, n, rng):
 
 def invert(F, M):
     n = len(M)
-    aug = [M[i][:] + identity(n)[i] for i in range(n)]
+    aug = [M[i][:] + [int(i == j) for j in range(n)] for i in range(n)]
     R, pivots = rref(F, aug)
     assert pivots == list(range(n))
     return [row[n:] for row in R]
@@ -132,14 +132,14 @@ def test_class_vector_alternates_with_shift():
 
 
 def test_dhom_matches_rep_level_hom_and_ext():
-    """Degree 0/1 derived Homs of modules = Hom and Ext^1 of commuting squares."""
+    """Degree 0/1 derived Homs of modules = Hom and Ext^1 of commuting
+    squares, for every pair of interval modules at m <= 6."""
     F = FiniteField(2)
-    cat = DerivedCategory(4, F)
-    intervals = [(a, b) for a in range(1, 4) for b in range(a + 1, 5)]
-    for (a, b) in intervals:
-        for (c, d) in intervals:
-            M = interval_rep(F, 4, a, b)
-            N = interval_rep(F, 4, c, d)
+    for m in range(2, 7):
+        cat = DerivedCategory(m, F)
+        intervals = [(a, b) for a in range(1, m) for b in range(a + 1, m + 1)]
+        for (a, b), (c, d) in itertools.product(intervals, repeat=2):
+            M, N = interval_rep(F, m, a, b), interval_rep(F, m, c, d)
             dims = cat.dhom_dims(DerivedObject.of([(a, b, 0)]),
                                  DerivedObject.of([(c, d, 0)]))
             assert dims.get(0, 0) == hom_dim(M, N)

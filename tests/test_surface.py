@@ -3,6 +3,7 @@
 import pytest
 
 from diskhall.freealg import NCPolynomial, zarc
+from diskhall.presentation import naive_presentation
 from diskhall.scalar import ONE, V
 from diskhall.surface import (DISJOINT, EQUAL, INTERLEAVED, SHARED, FoliationData,
                               GluingSpec, GradedChord, MarkedDisk, SurfaceConfig,
@@ -158,6 +159,19 @@ def test_config_validation_and_loading():
                                {"m": 3, "h": [1, 0, 0]}],
                      "gluings": [{"left": 0, "arc_i": 1, "right": 1, "arc_j": 1},
                                  {"left": 0, "arc_i": 1, "right": 2, "arc_j": 1}]})
+
+
+def test_disks_sharing_a_family_rejected():
+    """Two disks of one family would merge their generators, so the glued
+    presentation would be checked on the wrong algebra."""
+    t = MarkedDisk(FoliationData(3, (1, 0, 0)))
+    cfg = SurfaceConfig((t, t), ((0, 3, 1, 1),))
+    with pytest.raises(ValueError, match="family"):
+        cfg.validate()
+    with pytest.raises(ValueError, match="family"):
+        naive_presentation(cfg, (0, 0))
+    u = MarkedDisk(FoliationData(3, (1, 0, 0)), family="F")
+    SurfaceConfig((t, u), ((0, 3, 1, 1),)).validate()
 
 
 def test_closed_boundary_component_rejected():
