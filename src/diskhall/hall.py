@@ -31,11 +31,13 @@ constants, a(Z), {X,Y} and the Euler form are shift-invariant and
 [X[k]]*[Y[k]] = ([X]*[Y])[k].  The product cache therefore sweeps only the
 pair translated to lowest summand shift 0 and shifts each cone back.
 
-The sweep computes in ints: a(Z) is memoised modulo the shift as
-(|Aut Z|, e), meaning |Aut Z| q^e, each constant is n q^t / d, and the
+The sweep computes in ints: a(Z) is memoised modulo the shift, and under
+Z's own key, as (|Aut Z|, e), meaning |Aut Z| q^e; dim Hom(Y,X) and {Y,X}
+come from one ``dhom_dims(Y, X)``; each constant is n q^t / d, and the
 twist's sqrt(q) goes to the B half, or into A when q is a square; one gcd
-reduces the result.  ``structure_constant`` is a Fraction view of the
-same weights.
+reduces the result.  With no Hom block, the sweep's one morphism is w = 0,
+with cone X + Y.  ``structure_constant`` is a Fraction view of the same
+weights.
 
 Free-algebra expressions are evaluated here by sending each generator
 to a basis class and each Q(v) coefficient to Q(sqrt(q)).
@@ -192,6 +194,11 @@ def _trie_order(items):
         prev = rev
 
 
+def _brace_exponent(dims: Dict[int, int]) -> int:
+    """e with {X,Y} = q^e, from dims = dhom_dims(X, Y)."""
+    return sum((-1) ** (k % 2) * dim for k, dim in dims.items() if k < 0)
+
+
 def _part(c: Tuple[int, int, int], x: Numerators):
     """c * x as a part for ``HallAlgebra._combine``, c = (A, B, d) meaning
     (A + B sqrt(q))/d."""
@@ -216,27 +223,26 @@ class HallAlgebra:
 
     # -- scalar-valued ingredients ------------------------------------------
 
-    def _brace_exponent(self, X: DerivedObject, Y: DerivedObject) -> int:
-        """e with {X,Y} = q^e."""
-        dims = self.category.dhom_dims(X, Y)
-        return sum((-1) ** n * dims.get(-n, 0) for n in range(1, 1 + max(
-            (-k for k in dims if k < 0), default=0)))
-
     def braces(self, X: DerivedObject, Y: DerivedObject) -> Fraction:
         """{X,Y} = prod_{n>0} |Ext^{-n}(X,Y)|^{(-1)^n} as an exact rational."""
-        return Fraction(self.q) ** self._brace_exponent(X, Y)
+        return Fraction(self.q) ** _brace_exponent(self.category.dhom_dims(X, Y))
 
     def _a(self, Z: DerivedObject) -> Tuple[int, int]:
         """a(Z) = |Aut Z| {Z,Z} as (|Aut Z|, e), meaning |Aut Z| q^e.
 
-        Both factors are shift-invariant, so the memo is keyed on Z
-        translated to lowest summand shift 0."""
-        s = min((n for (_a, _b, n) in Z.summands), default=0)
-        key = Z.shifted(-s).summands if s else Z.summands
-        out = self._a_cache.get(key)
+        Both factors are shift-invariant, so they are computed for Z
+        translated to lowest summand shift 0 and memoised under that key
+        and under Z's own, which a repeated call finds first."""
+        out = self._a_cache.get(Z.summands)
         if out is None:
-            out = self._a_cache[key] = (self.category.aut_count(Z),
-                                        self._brace_exponent(Z, Z))
+            s = min((n for (_a, _b, n) in Z.summands), default=0)
+            base = Z.shifted(-s) if s else Z
+            out = self._a_cache.get(base.summands)
+            if out is None:
+                out = self._a_cache[base.summands] = (
+                    self.category.aut_count(base),
+                    _brace_exponent(self.category.dhom_dims(base, base)))
+            self._a_cache[Z.summands] = out
         return out
 
     def _weights(self, X: DerivedObject, Y: DerivedObject, counts: Dict):
@@ -244,7 +250,8 @@ class HallAlgebra:
         as d and [(L, n, t)], meaning F^L_{X,Y} = n q^t / d, with ints."""
         ax, ex = self._a(X)
         ay, ey = self._a(Y)
-        e = ex + ey + self.category.dhom_dims(Y, X).get(0, 0) + self._brace_exponent(Y, X)
+        dims = self.category.dhom_dims(Y, X)
+        e = ex + ey + dims.get(0, 0) + _brace_exponent(dims)
         out = []
         for L, count in counts.items():
             al, el = self._a(L)

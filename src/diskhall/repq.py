@@ -6,20 +6,22 @@ Everything is computed honestly over F_q:
 * ``FiniteField`` -- arithmetic by lookup in ``add_t[x][y]``,
   ``mul_t[x][y]``, ``neg_t`` and ``inv_t``, each entry computed on first
   use; ``rref`` and the cone kernels index rows instead of calling methods.
-* ``DerivedObject`` -- a multiset of shifted intervals (a, b, n); cones are
-  computed on 2-term complexes of projectives, where every Hom(P_i, P_j)
-  with j <= i is one dimensional and composition is multiplication of
-  scalars.  Graded Hom is additive in both arguments and shift-invariant,
-  so ``dhom_dims`` sums a table of pairs M[a,b), M[c,d)[r] keyed by the
-  relative shift r, in closed form (Happel 1988; M[a,b) lives on a..b-1):
+* ``DerivedObject`` -- a sorted multiset of shifted intervals (a, b, n),
+  which a uniform shift keeps sorted; cones are computed on 2-term
+  complexes of projectives, where every Hom(P_i, P_j) with j <= i is one
+  dimensional and composition is multiplication of scalars.  Graded Hom
+  is additive in both arguments and shift-invariant, so ``dhom_dims``
+  counts the degrees of a table of pairs M[a,b), M[c,d)[r] keyed by the
+  relative shift r: each pair has Hom F_q in at most one degree, in closed
+  form (Happel 1988; M[a,b) lives on a..b-1):
 
       Hom(M[a,b), M[c,d))  = F_q  iff  c <= a < d <= b,
       Ext1(M[a,b), M[c,d)) = F_q  iff  a < c <= b < d,  else both are 0.
 
-  Automorphism counts follow in closed form from dim End.  Degree-0 Hom
-  is the sum of one-dimensional blocks, one per summand pair with a
-  nonzero entry, each spanned by a basis chain map written down directly;
-  ``enumerate_dhoms`` lists their F_q-combinations.
+  Automorphism counts follow in closed form, in ints, from dim End.
+  Degree-0 Hom is the sum of one-dimensional blocks, one per summand pair
+  whose degree is 0, each spanned by a basis chain map written down
+  directly; ``enumerate_dhoms`` lists their F_q-combinations.
 * ``cone_counts`` -- N_L = #{w : X -> Y with cone L}, from one cone per
   torus orbit of block-support patterns: Hom between indecomposables is at
   most one dimensional in each degree, cones split over the connected
@@ -47,7 +49,6 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalar import prime_power_decompose
@@ -294,7 +295,8 @@ class DerivedObject:
         return not self.summands
 
     def shifted(self, k: int) -> "DerivedObject":
-        return DerivedObject(tuple(sorted((a, b, n + k) for (a, b, n) in self.summands)))
+        # a uniform shift keeps the lexicographic order of (a, b, n)
+        return DerivedObject(tuple([(a, b, n + k) for (a, b, n) in self.summands]))
 
     def class_vector(self, m: int) -> Tuple[int, ...]:
         """Class in K_0 = Z^{m-1}: signed sum of dimension vectors."""
@@ -373,8 +375,8 @@ def _object_complex(m: int, X: DerivedObject) -> _PComplex:
 def _components(edges: List[Tuple[int, int]]):
     """Connected components of the bipartite graph with edges (i, j)
     between source vertices (0, i) and target vertices (1, j), as
-    (vertices, edges) pairs, and the edges that close a cycle over the
-    spanning forest grown in edge order."""
+    (sorted sources, sorted targets, edges), and the edges that close a
+    cycle over the spanning forest grown in edge order."""
     parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     def find(v):
@@ -389,12 +391,12 @@ def _components(edges: List[Tuple[int, int]]):
             cycle.append((i, j))
         else:
             parent[ru] = rv
-    comps: Dict[Tuple[int, int], Tuple[list, list]] = {}
-    for v in parent:
-        comps.setdefault(find(v), ([], []))[0].append(v)
+    comps: Dict[Tuple[int, int], Tuple[list, list, list]] = {}
+    for side, i in parent:
+        comps.setdefault(find((side, i)), ([], [], []))[side].append(i)
     for i, j in edges:
-        comps[find((0, i))][1].append((i, j))
-    return list(comps.values()), cycle
+        comps[find((0, i))][2].append((i, j))
+    return [(sorted(src), sorted(dst), e) for src, dst, e in comps.values()], cycle
 
 
 class DMorphism:
@@ -439,19 +441,21 @@ class DerivedCategory:
         total: Dict[int, int] = {}
         for (a, b, n) in X.summands:
             for (c, d, k) in Y.summands:
-                for deg, dim in self._pair_dims(a, b, c, d, k - n).items():
-                    total[deg] = total.get(deg, 0) + dim
+                deg = self._pair_dims(a, b, c, d, k - n)
+                if deg is not None:
+                    total[deg] = total.get(deg, 0) + 1
         out = self._dhom_cache[key] = {deg: total[deg] for deg in sorted(total)}
         return out
 
-    def _pair_dims(self, a: int, b: int, c: int, d: int, r: int) -> Dict[int, int]:
-        """Graded dims of Hom(M[a,b), M[c,d)[r][k]) in closed form (module
-        docstring): Hom of the modules sits in degree -r, Ext1 in 1 - r."""
+    def _pair_dims(self, a: int, b: int, c: int, d: int, r: int) -> Optional[int]:
+        """The one degree k with Hom(M[a,b), M[c,d)[r][k]) != 0, or None;
+        that Hom is F_q (module docstring).  Hom of the modules sits in
+        degree -r, Ext1 in 1 - r."""
         if c <= a < d <= b:
-            return {-r: 1}
+            return -r
         if a < c <= b < d:
-            return {1 - r: 1}
-        return {}
+            return 1 - r
+        return None
 
     def euler_form(self, X: DerivedObject, Y: DerivedObject) -> int:
         return sum((-1) ** (k % 2) * d for k, d in self.dhom_dims(X, Y).items())
@@ -459,15 +463,9 @@ class DerivedCategory:
     def _hom_blocks(self, X: DerivedObject, Y: DerivedObject) -> List[Tuple[int, int]]:
         """The summand pairs (i, j) with Hom(X_i, Y_j) != 0 in degree 0;
         each such block is one dimensional, spanned by its basis map."""
-        edges = []
-        for i, (a, b, n) in enumerate(X.summands):
-            for j, (c, d, k) in enumerate(Y.summands):
-                dim = self._pair_dims(a, b, c, d, k - n).get(0, 0)
-                if dim > 1:
-                    raise ArithmeticError(f"Hom block of dimension {dim}")
-                if dim:
-                    edges.append((i, j))
-        return edges
+        return [(i, j) for i, (a, b, n) in enumerate(X.summands)
+                for j, (c, d, k) in enumerate(Y.summands)
+                if self._pair_dims(a, b, c, d, k - n) == 0]
 
     def enumerate_dhoms(self, X: DerivedObject, Y: DerivedObject) -> List[DMorphism]:
         """All homotopy classes of degree-0 maps X -> Y, one representative
@@ -499,21 +497,21 @@ class DerivedCategory:
         """
         xs, ys = X.summands, Y.summands
         edges = self._hom_blocks(X, Y)
+        if not edges:  # only w = 0, with cone X[1] + Y
+            return {DerivedObject(tuple(sorted(X.shifted(1).summands + ys))): 1}
         q = self.field.q
         counts: Dict[DerivedObject, int] = {}
         for mask in range(1 << len(edges)):
             support = [e for t, e in enumerate(edges) if mask >> t & 1]
             comps, cycle = _components(support)
-            touched = {v for vertices, _ in comps for v in vertices}
-            rest = [(a, b, n + 1) for i, (a, b, n) in enumerate(xs) if (0, i) not in touched]
-            rest += [s for j, s in enumerate(ys) if (1, j) not in touched]
+            hit_x, hit_y = {i for i, _j in support}, {j for _i, j in support}
+            rest = [(a, b, n + 1) for i, (a, b, n) in enumerate(xs) if i not in hit_x]
+            rest += [s for j, s in enumerate(ys) if j not in hit_y]
             weight = (q - 1) ** (len(support) - len(cycle))
             for units in itertools.product(range(1, q), repeat=len(cycle)):
                 value = dict(zip(cycle, units))
                 summands = list(rest)
-                for vertices, comp_edges in comps:
-                    src = sorted(i for side, i in vertices if side == 0)
-                    dst = sorted(j for side, j in vertices if side == 1)
+                for src, dst, comp_edges in comps:
                     local = tuple(sorted((src.index(i), dst.index(j), value.get((i, j), 1))
                                          for i, j in comp_edges))
                     summands += self._component_cone(
@@ -528,11 +526,11 @@ class DerivedCategory:
         (xs[i], ys[j]) for each (i, j, value) in ``edges``.  Memoised modulo
         the shift functor."""
         s = min(n for (_a, _b, n) in xs + ys)
-        X = DerivedObject(tuple((a, b, n - s) for (a, b, n) in xs))
-        Y = DerivedObject(tuple((a, b, n - s) for (a, b, n) in ys))
-        key = (X.summands, Y.summands, edges)
+        key = (tuple([(a, b, n - s) for (a, b, n) in xs]),
+               tuple([(a, b, n - s) for (a, b, n) in ys]), edges)
         cone = self._cone_cache.get(key)
         if cone is None:
+            X, Y = DerivedObject(key[0]), DerivedObject(key[1])
             cone = self._cone_cache[key] = self.cone(self._block_morphism(X, Y, edges))
         return [(a, b, n + s) for (a, b, n) in cone.summands]
 
@@ -625,23 +623,24 @@ class DerivedCategory:
         return self.identify(_PComplex(self.m, labels, diff))
 
     def aut_count(self, X: DerivedObject) -> int:
-        """|Aut X| in closed form.
+        """|Aut X| in closed form, in ints.
 
         Every indecomposable has endomorphism ring F_q, so End(X) modulo its
         radical is the product of the matrix rings M_mult(F_q) over the
-        distinct summands, and
+        distinct summands, and |Aut X| = q^{dim End X} prod_summands
+        prod_{j=1}^{mult} (1 - q^{-j}), that is
 
-            |Aut X| = q^{dim End X} prod_summands prod_{j=1}^{mult} (1 - q^{-j}).
+            q^{dim End X - sum mult(mult+1)/2} prod_summands prod_{j=1}^{mult} (q^j - 1),
+
+        where the exponent is >= 0 since dim End X >= sum mult^2.
         """
         key = X.summands
         cached = self._aut_cache.get(key)
         if cached is None:
-            q = self.field.q
-            count = Fraction(q) ** self.dhom_dims(X, X).get(0, 0)
+            q, e, count = self.field.q, self.dhom_dims(X, X).get(0, 0), 1
             for mult in Counter(key).values():
+                e -= mult * (mult + 1) // 2
                 for j in range(1, mult + 1):
-                    count *= 1 - Fraction(1, q ** j)
-            if count.denominator != 1:
-                raise ArithmeticError(f"non-integral automorphism count {count}")
-            cached = self._aut_cache[key] = int(count)
+                    count *= q ** j - 1
+            cached = self._aut_cache[key] = q ** e * count
         return cached

@@ -9,6 +9,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from diskhall.repq import DerivedCategory, DerivedObject, FiniteField, mat_rank, rref
 from field_oracle import mat_mul
@@ -122,6 +123,18 @@ def test_derived_object_basics():
     assert DerivedObject.simple(2).summands == ((2, 3, 0),)
     with pytest.raises(ValueError):
         DerivedObject.of([(3, 2, 0)])
+
+
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(-3, 3)),
+                max_size=6),
+       st.integers(-5, 5))
+def test_shift_keeps_summands_sorted(items, k):
+    """``shifted`` does not sort: a uniform shift keeps the order of the
+    (a, b, n) summands that ``DerivedObject.of`` sorted."""
+    X = DerivedObject.of([(a, a + length, n) for a, length, n in items])
+    Y = X.shifted(k)
+    assert list(Y.summands) == sorted(Y.summands)
+    assert Y.shifted(-k) == X
 
 
 def test_class_vector_alternates_with_shift():
