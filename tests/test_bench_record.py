@@ -38,3 +38,23 @@ def test_one_pair_and_a_missing_metric():
     assert bench_record.smoke_check(record) == []
     record["workloads"]["w"]["failures"] = [{"seed": 1, "side": "change", "problem": "x"}]
     assert len(bench_record.smoke_check(record)) == 1
+
+
+def test_working_tree_is_the_tree_its_commit_would_have(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "ROOT", str(tmp_path))
+    git = bench_record.git
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("out/\n")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "a")
+    assert bench_record.working_tree() == git("rev-parse", "HEAD^{tree}")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "log").write_text("ignored\n")
+    (tmp_path / "b.py").write_text("y = 2\n")
+    dirty = bench_record.working_tree()
+    assert dirty != git("rev-parse", "HEAD^{tree}")
+    assert git("status", "--porcelain") == "?? b.py"
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "b")
+    assert dirty == git("rev-parse", "HEAD^{tree}")

@@ -1,19 +1,22 @@
 """Record alternating parent/change benchmark pairs as ``BENCH_<tag>.json``.
 
-usage: python3 tools/bench_record.py --tag TAG [--parent REV] [--pairs N]
-                                     [--seconds S]
+usage: python3 tools/bench_record.py --tag TAG
        python3 tools/bench_record.py --smoke
 
-Standard library only.  The parent is the committed tree of ``--parent``
-(default ``HEAD``), exported with ``git archive`` into a temporary
-directory under ``.perfbench/``; the change is the working tree.  For each
-workload of ``BENCHMARK.json``, pair i (i = 1..N) runs the unmodified
+Standard library only.  The parent is the committed tree of ``HEAD``,
+exported with ``git archive`` into a temporary directory under
+``.perfbench/``; the change is the working tree.  For each workload of
+``BENCHMARK.json``, pair i (i = 1..PAIRS) runs the unmodified
 ``perfbench/run.py`` of each side once, with ``--seed i --seconds S
---trace 0``, and the side that goes first alternates from pair to pair.
-Each run prints the medians over its processes; a pair compares those.
+--trace 0`` where S is the benchmark's ``run_seconds``, and the side that
+goes first alternates from pair to pair.  Each run prints the medians over
+its processes; a pair compares those.
 
-The output has the schema number, the Python version, ``nproc``, both
-revisions and, per workload and end-to-end metric of ``BENCHMARK.json``,
+The output has the schema number, the Python version, ``nproc``, the
+parent's revision and git tree, the git tree of the measured working tree
+(its files, untracked ones included, as ``git add -A`` would stage them;
+equal to the tree of the commit that records them) and, per workload and
+end-to-end metric of ``BENCHMARK.json``,
 ``n``, ``min``, ``median``, ``q1`` and ``q3`` of each side over its pairs,
 and ``change_wins``, the number of pairs in which the change reads better
 (ties count for neither side).  A run that is not ``correct`` is listed
@@ -38,12 +41,23 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = os.path.join(ROOT, ".perfbench")
-SCHEMA = 1
+SCHEMA = 2
+PAIRS = 10
+SMOKE_SECONDS = 1.0
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
+def git(*args: str, env=None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def working_tree() -> str:
+    """The git tree of the working tree's files, staged into a scratch index
+    so that the repository's own index is left alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
 
 
 def export(rev: str, dest: str) -> None:
@@ -95,17 +109,15 @@ def summarise(pairs, metrics) -> dict:
     return out
 
 
-def record(parent: str, workloads, pairs: int, seconds: float, metrics,
-           log=print) -> dict:
+def record(workloads, pairs: int, seconds: float, metrics, log=print) -> dict:
     os.makedirs(WORK, exist_ok=True)
     result = {
         "schema": SCHEMA,
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
-        "parent": {"rev": git("rev-parse", f"{parent}^{{commit}}")},
-        "change": {"rev": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "parent": {"rev": git("rev-parse", "HEAD"), "tree": git("rev-parse", "HEAD^{tree}")},
+        "change": {"tree": working_tree()},
         "pairs": pairs,
         "seconds": seconds,
         "workloads": {},
@@ -149,9 +161,6 @@ def smoke_check(result: dict) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--tag")
-    ap.add_argument("--parent", default="HEAD")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=6.0)
     ap.add_argument("--smoke", action="store_true")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -159,7 +168,7 @@ def main(argv=None) -> int:
     metrics = {m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
     if args.smoke:
-        result = record(args.parent, workloads[:1], 1, 1.0, metrics)
+        result = record(workloads[:1], 1, SMOKE_SECONDS, metrics)
         with tempfile.TemporaryDirectory(dir=WORK) as tmp:
             path = os.path.join(tmp, "BENCH_smoke.json")
             with open(path, "w") as fh:
@@ -170,9 +179,9 @@ def main(argv=None) -> int:
             print(f"bench_record smoke: {p}", file=sys.stderr)
         print("bench_record smoke: " + ("FAIL" if problems else "ok"))
         return 1 if problems else 0
-    if not args.tag or args.pairs < 1:
-        ap.error("--tag and --pairs >= 1 are required without --smoke")
-    result = record(args.parent, workloads, args.pairs, args.seconds, metrics)
+    if not args.tag:
+        ap.error("--tag is required without --smoke")
+    result = record(workloads, PAIRS, bench["run_seconds"], metrics)
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w") as fh:
         json.dump(result, fh, indent=1)
