@@ -46,6 +46,11 @@ class UsageError(Exception):
     pass
 
 
+#: the largest q accepted: past it, factoring q and searching for an
+#: irreducible modulus of F_q take longer than any check is worth
+MAX_Q = 2 ** 32
+
+
 def _parse_window(text: str):
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
     if not m:
@@ -64,6 +69,8 @@ def _parse_qs(text: str):
             q = int(part)
         except ValueError:
             raise UsageError(f"bad q value {part!r}")
+        if q > MAX_Q:  # before the trial division of is_prime_power
+            raise UsageError(f"q = {q} exceeds the largest supported q, 2^32")
         if q < 2 or not is_prime_power(q):
             raise UsageError(f"q = {q} is not a prime power >= 2")
         if q not in out:
@@ -263,7 +270,7 @@ def _add_common(p, with_m=True, with_shifts=True):
     if with_m:
         p.add_argument("--m", type=int, default=3, help="number of marked intervals")
     p.add_argument("--q", type=str, default="2,3",
-                   help="comma-separated prime powers (default 2,3)")
+                   help="comma-separated prime powers <= 2^32 (default 2,3)")
     if with_shifts:
         p.add_argument("--shifts", type=str, default="-2..3",
                        help="shift window lo..hi (default -2..3)")

@@ -24,7 +24,10 @@ summands.  The cone of w is the direct sum of the untouched summands of X
 and Y and the cones of the connected components of its block support, and
 the diagonal torus of Aut Y x Aut X, which scales the blocks, preserves
 it.  A support with no cycle thus needs one (memoised) cone, whatever q is.
-The per-morphism sweep is kept in ``tests/test_hall_oracle.py``.
+The census over support patterns sees only the summands that carry a
+block, at lowest shift 0, so sweeps that differ by untouched summands or by
+a translation share it.  The per-morphism sweep is kept in
+``tests/test_hall_oracle.py``.
 
 The shift [1] is a triangulated autoequivalence, so the structure
 constants, a(Z), {X,Y} and the Euler form are shift-invariant and
@@ -47,10 +50,11 @@ all their terms depth first (as the sorted list of those words), so a word
 suffix shared by many terms is evaluated once.  A relation set's
 generators are not quiver generators but have images in them (boundary
 arcs, chords); the polynomials are not expanded.  At a trie node for g the
-walk applies g's image: each word of the image, compiled once per call as
-a sorted program of reversed words, is multiplied onto the parent value
-letter by letter, right to left, so a single basis class stays on the left
-of every product, and the words are summed with their coefficients.
+walk applies g's image: each word of the image, compiled once per distinct
+generator and call as a sorted program of reversed words, is multiplied
+onto the parent value letter by letter, right to left, so a single basis
+class stays on the left of every product, and the words are summed with
+their coefficients.
 Inside the kernel an element is (d, ((L, A, B), ...)), the sum of
 (A + B sqrt(q))/d [L] with Python ints, reduced by one gcd per product
 (``_combine``); the product cache stores the same form.  QuadraticScalar
@@ -375,11 +379,12 @@ class HallAlgebra:
         entries = list(_trie_order((word[::-1], (i, coeff)) for i, p in enumerate(polys)
                                    for word, coeff in p.terms.items()))
         scalars = {}  # Q(v) coefficient -> (A, B, d): its value (A + B sqrt(q))/d
-        # every image is compiled before the first product, so a generator
-        # with no image or no assignment fails early
+        # every image is compiled once, in order of first occurrence and
+        # before the first product, so a generator with no image or no
+        # assignment fails early
         programs = {g: self._program(expand(g) if expand else NCPolynomial.generator(g),
                                      assign, scalars)
-                    for _k, rev, _c in entries for g in rev}
+                    for g in dict.fromkeys(g for _k, rev, _c in entries for g in rev)}
         totals: List[Numerators] = [(1, ()) for _ in polys]
         stack = [(1, ((DerivedObject.zero(), 1, 0),))]
         for k, rev, (i, coeff) in entries:

@@ -26,7 +26,9 @@ Everything is computed honestly over F_q:
   torus orbit of block-support patterns: Hom between indecomposables is at
   most one dimensional in each degree, cones split over the connected
   components of the support, and the torus of Aut X x Aut Y preserves them.
-  Each component's cone is memoised modulo the shift functor.
+  A summand in no block passes into every cone unchanged, so the census
+  runs on the touched summands only; it and each component's cone are
+  memoised modulo the shift functor.
 
 ``identify`` names a complex of projectives up to isomorphism.  The
 category is hereditary, so the complex is the sum of the H^d[-d], and the
@@ -421,6 +423,8 @@ class DerivedCategory:
         self._dhom_cache: Dict[Tuple, Dict[int, int]] = {}
         self._aut_cache: Dict[Tuple, int] = {}
         self._cone_cache: Dict[Tuple, DerivedObject] = {}
+        # touched summands of X and Y at lowest shift 0 -> their ``_census``
+        self._census_cache: Dict[Tuple, Dict[Tuple, int]] = {}
 
     def complex_of(self, X: DerivedObject) -> _PComplex:
         return _object_complex(self.m, X)
@@ -460,17 +464,18 @@ class DerivedCategory:
     def euler_form(self, X: DerivedObject, Y: DerivedObject) -> int:
         return sum((-1) ** (k % 2) * d for k, d in self.dhom_dims(X, Y).items())
 
-    def _hom_blocks(self, X: DerivedObject, Y: DerivedObject) -> List[Tuple[int, int]]:
-        """The summand pairs (i, j) with Hom(X_i, Y_j) != 0 in degree 0;
-        each such block is one dimensional, spanned by its basis map."""
-        return [(i, j) for i, (a, b, n) in enumerate(X.summands)
-                for j, (c, d, k) in enumerate(Y.summands)
+    def _hom_blocks(self, xs, ys) -> List[Tuple[int, int]]:
+        """The pairs (i, j) of summands xs[i], ys[j] with Hom(xs[i], ys[j])
+        != 0 in degree 0; each such block is one dimensional, spanned by
+        its basis map."""
+        return [(i, j) for i, (a, b, n) in enumerate(xs)
+                for j, (c, d, k) in enumerate(ys)
                 if self._pair_dims(a, b, c, d, k - n) == 0]
 
     def enumerate_dhoms(self, X: DerivedObject, Y: DerivedObject) -> List[DMorphism]:
         """All homotopy classes of degree-0 maps X -> Y, one representative
         each: the F_q-combinations of the basis maps of the blocks."""
-        blocks = self._hom_blocks(X, Y)
+        blocks = self._hom_blocks(X.summands, Y.summands)
         return [self._block_morphism(X, Y, [(i, j, v) for (i, j), v in zip(blocks, values) if v])
                 for values in itertools.product(self.field.elements(), repeat=len(blocks))]
 
@@ -481,8 +486,33 @@ class DerivedCategory:
 
         Hom between two indecomposables is at most one dimensional in each
         degree, so Hom(X, Y) is a sum of one-dimensional blocks, one per
-        summand pair (i, j) with Hom(X_i, Y_j) != 0.  A morphism with block
-        support S has cone
+        summand pair (i, j) with Hom(X_i, Y_j) != 0.  A summand in no block
+        passes into every cone unchanged, X_i as X_i[1] and Y_j as Y_j;
+        the cones of the touched summands alone are counted by
+        ``_census``, memoised modulo the shift functor, and merged with
+        the untouched ones.
+        """
+        xs, ys = X.summands, Y.summands
+        edges = self._hom_blocks(xs, ys)
+        hit_x, hit_y = {i for i, _j in edges}, {j for _i, j in edges}
+        rest = [(a, b, n + 1) for i, (a, b, n) in enumerate(xs) if i not in hit_x]
+        rest += [s for j, s in enumerate(ys) if j not in hit_y]
+        tx = [xs[i] for i in sorted(hit_x)]
+        ty = [ys[j] for j in sorted(hit_y)]
+        s = min((n for (_a, _b, n) in tx + ty), default=0)
+        key = (tuple([(a, b, n - s) for (a, b, n) in tx]),
+               tuple([(a, b, n - s) for (a, b, n) in ty]))
+        census = self._census_cache.get(key)
+        if census is None:
+            census = self._census_cache[key] = self._census(*key)
+        return {DerivedObject(tuple(sorted(rest + [(a, b, n + s) for (a, b, n) in cone]))): count
+                for cone, count in census.items()}
+
+    def _census(self, xs, ys) -> Dict[Tuple, int]:
+        """Cone summands (sorted) -> number of morphisms from the summands
+        ``xs`` to the summands ``ys`` with that cone.
+
+        A morphism with block support S has cone
 
             (X_i[1] for untouched i) + (Y_j for untouched j)
             + (the cone of each connected component of S),
@@ -495,12 +525,9 @@ class DerivedCategory:
         representative stands for (q-1)^(|S| - #cycles) morphisms.  So a
         forest support needs one cone, whatever q is.
         """
-        xs, ys = X.summands, Y.summands
-        edges = self._hom_blocks(X, Y)
-        if not edges:  # only w = 0, with cone X[1] + Y
-            return {DerivedObject(tuple(sorted(X.shifted(1).summands + ys))): 1}
+        edges = self._hom_blocks(xs, ys)
         q = self.field.q
-        counts: Dict[DerivedObject, int] = {}
+        counts: Dict[Tuple, int] = {}
         for mask in range(1 << len(edges)):
             support = [e for t, e in enumerate(edges) if mask >> t & 1]
             comps, cycle = _components(support)
@@ -516,7 +543,7 @@ class DerivedCategory:
                                          for i, j in comp_edges))
                     summands += self._component_cone(
                         [xs[i] for i in src], [ys[j] for j in dst], local)
-                L = DerivedObject(tuple(sorted(summands)))
+                L = tuple(sorted(summands))
                 counts[L] = counts.get(L, 0) + weight
         return counts
 

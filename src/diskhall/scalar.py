@@ -25,6 +25,10 @@ Poly = Tuple[Fraction, ...]  # dense, low degree first, no trailing zeros
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+#: (a, b) -> a + b and a * b for RationalFunctionV operands, process-wide
+_SUMS: dict = {}
+_PRODUCTS: dict = {}
+
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over Q
@@ -96,10 +100,12 @@ class RationalFunctionV:
     """An element of Q(v) in canonical form.
 
     Invariant: the denominator is monic and coprime to the numerator;
-    zero is represented as 0/1.
+    zero is represented as 0/1.  Elements are immutable, hashed once,
+    and ``+`` and ``*`` are memoised per operand pair (``_SUMS``,
+    ``_PRODUCTS``), which share their result objects.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=(Fraction(1),), _canonical=False):
         if not _canonical:
@@ -126,6 +132,7 @@ class RationalFunctionV:
                     den = _pscale(den, 1 / lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_hash", hash((num, den)))
 
     def __setattr__(self, *_):
         raise AttributeError("immutable")
@@ -165,8 +172,12 @@ class RationalFunctionV:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RationalFunctionV(num, _pmul(self.den, other.den))
+        key = (self, other)
+        out = _SUMS.get(key)
+        if out is None:
+            num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
+            out = _SUMS[key] = RationalFunctionV(num, _pmul(self.den, other.den))
+        return out
 
     __radd__ = __add__
 
@@ -186,7 +197,12 @@ class RationalFunctionV:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunctionV(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        key = (self, other)
+        out = _PRODUCTS.get(key)
+        if out is None:
+            out = _PRODUCTS[key] = RationalFunctionV(_pmul(self.num, other.num),
+                                                     _pmul(self.den, other.den))
+        return out
 
     __rmul__ = __mul__
 
@@ -225,7 +241,7 @@ class RationalFunctionV:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return self._hash
 
     def __repr__(self):
         return f"RationalFunctionV({_fmt_poly(self.num)!r}/{_fmt_poly(self.den)!r})"

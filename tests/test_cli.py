@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -158,6 +159,26 @@ def test_repeated_q_values_are_verified_once(capsys):
     assert code == 0
     assert report["q"] == [3, 2]
     assert report["total"] == 4
+
+
+@pytest.mark.parametrize("q", [2 ** 40, 10 ** 18 + 3])
+def test_q_above_the_bound_is_rejected_at_once(capsys, q):
+    """2^40 (a prime power) and 10^18 + 3 (a prime) would take minutes in
+    the modulus search or the trial division; both are refused first."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-quiver", "--m", "3", "--shifts", "0..0",
+                         "--q", f"2,{q}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "2^32" in err
+
+
+def test_largest_prime_below_the_bound_is_accepted(capsys):
+    code, out, _ = run(capsys, "verify-quiver", "--m", "3", "--shifts", "0..0",
+                       "--q", "4294967291")
+    assert code == 0
+    assert "2/2 passed (q=4294967291)" in out
+    assert cli.MAX_Q == 2 ** 32
 
 
 def test_bad_arc_is_a_usage_error(capsys):

@@ -233,3 +233,22 @@ def test_shared_suffix_is_multiplied_once(monkeypatch):
     values = alg.evaluate_many(polys, ASSIGN)
     assert len(calls) == 4
     assert values == [hall_oracle.evaluate(alg, p, ASSIGN) for p in polys]
+
+
+def test_each_image_is_compiled_once(monkeypatch):
+    """A relation set names each generator many times; ``evaluate_many``
+    expands and compiles the image of each distinct generator once, and
+    still gets the expand-first oracle's values."""
+    rs = EXPANDED_SETS["minimal-disk-m5"]()
+    alg = HallAlgebra(rs.oracle_m, 2)
+    assign = simples_assignment(rs.oracle_m)
+    compiled, expanded = [], []
+    program = alg._program
+    monkeypatch.setattr(alg, "_program",
+                        lambda image, *args: compiled.append(image) or program(image, *args))
+    polys = [p for r in rs.relations for p in (r.lhs, r.rhs)]
+    occurrences = [g for p in polys for word in p.terms for g in word]
+    values = alg.evaluate_many(polys, assign, lambda g: expanded.append(g) or rs.expand(g))
+    assert len(expanded) == len(set(expanded)) == len(compiled) == len(set(occurrences))
+    assert len(occurrences) > 2 * len(compiled)
+    assert values == hall_oracle.evaluate_expanded(alg, polys, assign, rs.expand)

@@ -6,7 +6,8 @@ against the two-sweep enumerations they replaced (``hall_oracle``) on all
 small cases: products with dim X + dim Y <= 3 and objects of total dimension
 <= 3, with summand shifts in 0..2, taken up to an overall shift (which is an
 autoequivalence).  The product cache is checked on pairs translated by -2
-and +3, and the a(Z) memo on objects shifted by -3..3; the closed-form
+and +3, the a(Z) memo on objects shifted by -3..3, and the support-census memo
+of ``cone_counts`` on pairs translated by -3..3; the closed-form
 table of summand pairs against their Hom complex, and the graded Hom dims
 summed from it, and the maps ``enumerate_dhoms`` lists, against the Hom
 complex of the whole objects.  ``identify``, which
@@ -241,6 +242,27 @@ def test_cyclic_supports(m, xs, ys, q, monkeypatch):
         for L, n in counts.items():
             assert alg.structure_constant(X, Y, L, n) == \
                 hall_oracle.structure_constant(alg, X, Y, L), (X, Y, L)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_census_memo_is_shift_invariant(q):
+    """``cone_counts`` runs its support census on the summands that carry a
+    Hom block only, memoised at lowest shift 0, and passes the others
+    through.  With X = M[1,3) indecomposable, two of the four summands of
+    Y[-1] carry a block to X, and one of Y carries a block from X[-1]; at
+    every translation by -3..3 the counts equal the morphism sweep of the
+    whole objects, and each direction fills one memo entry."""
+    cat = DerivedCategory(4, FiniteField(q))
+    X = DerivedObject.of([(1, 3, 0)])
+    Y = DerivedObject.of([(1, 2, -1), (1, 2, 0), (1, 3, 1), (2, 4, 1)])
+    for src, dst, touched in ((Y.shifted(-1), X, 3), (X.shifted(-1), Y, 2)):
+        cat._census_cache.clear()
+        for t in range(-3, 4):
+            a, b = src.shifted(t), dst.shifted(t)
+            assert cat.cone_counts(a, b) == morphism_sweep(cat, a, b), (a, b)
+        [(xs, ys)] = cat._census_cache
+        assert len(xs) + len(ys) == touched
+        assert min(n for (_a, _b, n) in xs + ys) == 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

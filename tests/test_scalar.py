@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from diskhall.presentation import SELF_EXT
 from diskhall.scalar import (ONE, Q, V, ZERO, PoleError, QuadraticScalar,
-                             RationalFunctionV, _pdivmod, _pgcd, _poly, _pscale,
+                             RationalFunctionV, _padd, _pdivmod, _pgcd, _pmul, _poly,
+                             _pscale,
                              evaluate_at, is_prime_power, prime_power_decompose)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -90,6 +91,28 @@ def test_laurent_fast_path_matches_general_route(num, den):
     form: monic denominator coprime to the numerator."""
     x = RationalFunctionV(num, den)
     assert (x.num, x.den) == general_canonical(num, den)
+
+
+nonzero_polys = st.one_of(laurent, polys.filter(lambda p: any(p)))
+
+
+@given(polys, nonzero_polys, polys, nonzero_polys)
+def test_memoised_arithmetic_matches_polynomial_route(n1, d1, n2, d2):
+    """``+`` and ``*`` are memoised per operand pair: the first call and the
+    memo hit both equal the canonical form of the polynomial formula, an
+    equal operand built anew finds the same result object, and the hash
+    stored at construction is hash((num, den))."""
+    x, y = RationalFunctionV(n1, d1), RationalFunctionV(n2, d2)
+    product = RationalFunctionV(_pmul(x.num, y.num), _pmul(x.den, y.den))
+    total = RationalFunctionV(_padd(_pmul(x.num, y.den), _pmul(y.num, x.den)),
+                              _pmul(x.den, y.den))
+    for _ in range(2):
+        assert x * y == product
+        assert x + y == total
+    assert RationalFunctionV(n1, d1) * RationalFunctionV(n2, d2) is x * y
+    assert RationalFunctionV(n1, d1) + RationalFunctionV(n2, d2) is x + y
+    for z in (x, y, x * y, x + y, -x):
+        assert hash(z) == hash((z.num, z.den))
 
 
 def test_laurent_fast_path_examples():
