@@ -34,13 +34,20 @@ constants, a(Z), {X,Y} and the Euler form are shift-invariant and
 [X[k]]*[Y[k]] = ([X]*[Y])[k].  The product cache therefore sweeps only the
 pair translated to lowest summand shift 0 and shifts each cone back.
 
-The sweep computes in ints: a(Z) is memoised modulo the shift, and under
-Z's own key, as (|Aut Z|, e), meaning |Aut Z| q^e; dim Hom(Y,X) and {Y,X}
-come from one ``dhom_dims(Y, X)``; each constant is n q^t / d, and the
-twist's sqrt(q) goes to the B half, or into A when q is a square; one gcd
-reduces the result.  With no Hom block, the sweep's one morphism is w = 0,
-with cone X + Y.  ``structure_constant`` is a Fraction view of the same
-weights.
+The kernel works in the basis u_Z = a(Z)[Z], where a(Y) and a(L) cancel:
+
+    [X].u_Y = sum_L N_L / (a(X) |Hom(Y,X)| {Y,X}) u_L,
+
+so a sweep reads a(X) of its left factor, a letter of a word, memoised
+modulo the shift as (|Aut Z|, e), meaning |Aut Z| q^e, and one
+``dhom_dims(Y, X)``, which gives dim Hom(Y,X), {Y,X} and <Y,X>.  Every u_L
+of a sweep has the same constant times N_L, n q^t / d in ints; the twist's
+sqrt(q) goes to the B half, or into A when q is a square; one gcd reduces
+the result.  With no Hom block, the sweep's one morphism is w = 0, with
+cone X + Y.  A term meets a(L) only where a HallElement is built
+(``_element``), ``hall_product`` divides the coefficients of y by a(Y) on
+entry, and the walk starts from [0] = u_0.  ``structure_constant`` gives
+one F^L_{X,Y} as a Fraction.
 
 Free-algebra expressions are evaluated here by sending each generator
 to a basis class and each Q(v) coefficient to Q(sqrt(q)).
@@ -56,7 +63,7 @@ onto the parent value letter by letter, right to left, so a single basis
 class stays on the left of every product, and the words are summed with
 their coefficients.
 Inside the kernel an element is (d, ((L, A, B), ...)), the sum of
-(A + B sqrt(q))/d [L] with Python ints, reduced by one gcd per product
+(A + B sqrt(q))/d u_L with Python ints, reduced by one gcd per product
 (``_combine``); the product cache stores the same form.  QuadraticScalar
 coefficients are built only for the results, and ``hall_product`` goes
 through the same kernel.  The per-word route on QuadraticScalar and the
@@ -172,8 +179,8 @@ class HallElement:
 
 
 #: a Hall element inside the kernel: (d, ((L, A, B), ...)) stands for
-#: sum_L (A + B sqrt(q))/d [L], with ints, d > 0, no zero term and
-#: gcd(d, every A and B) = 1
+#: sum_L (A + B sqrt(q))/d u_L, u_L = a(L)[L], with ints, d > 0, no zero
+#: term and gcd(d, every A and B) = 1
 Numerators = Tuple[int, Tuple[Tuple[DerivedObject, int, int], ...]]
 
 
@@ -234,44 +241,30 @@ class HallAlgebra:
     def _a(self, Z: DerivedObject) -> Tuple[int, int]:
         """a(Z) = |Aut Z| {Z,Z} as (|Aut Z|, e), meaning |Aut Z| q^e.
 
-        Both factors are shift-invariant, so they are computed for Z
-        translated to lowest summand shift 0 and memoised under that key
-        and under Z's own, which a repeated call finds first."""
-        out = self._a_cache.get(Z.summands)
+        Both factors are shift-invariant, so they are computed and memoised
+        for Z translated to lowest summand shift 0."""
+        s = min((n for (_a, _b, n) in Z.summands), default=0)
+        base = Z.shifted(-s) if s else Z
+        out = self._a_cache.get(base.summands)
         if out is None:
-            s = min((n for (_a, _b, n) in Z.summands), default=0)
-            base = Z.shifted(-s) if s else Z
-            out = self._a_cache.get(base.summands)
-            if out is None:
-                out = self._a_cache[base.summands] = (
-                    self.category.aut_count(base),
-                    _brace_exponent(self.category.dhom_dims(base, base)))
-            self._a_cache[Z.summands] = out
+            out = self._a_cache[base.summands] = (
+                self.category.aut_count(base),
+                _brace_exponent(self.category.dhom_dims(base, base)))
         return out
-
-    def _weights(self, X: DerivedObject, Y: DerivedObject, counts: Dict):
-        """The structure constants F^L_{X,Y} of the L in ``counts`` (L -> N_L)
-        as d and [(L, n, t)], meaning F^L_{X,Y} = n q^t / d, with ints."""
-        ax, ex = self._a(X)
-        ay, ey = self._a(Y)
-        dims = self.category.dhom_dims(Y, X)
-        e = ex + ey + dims.get(0, 0) + _brace_exponent(dims)
-        out = []
-        for L, count in counts.items():
-            al, el = self._a(L)
-            out.append((L, count * al, el - e))
-        return ax * ay, out
 
     def structure_constant(self, X: DerivedObject, Y: DerivedObject,
                            L: DerivedObject, count: int) -> Fraction:
-        """F^L_{X,Y} from count = #{w in Hom(Y[-1], X) : cone(w) = L}."""
-        d, [(_L, n, t)] = self._weights(X, Y, {L: count})
-        return Fraction(n, d) * Fraction(self.q) ** t
+        """F^L_{X,Y} = N_L a(L) / (a(X) a(Y) |Hom(Y,X)| {Y,X}) from
+        count = N_L = #{w in Hom(Y[-1], X) : cone(w) = L}."""
+        (ax, ex), (ay, ey), (al, el) = self._a(X), self._a(Y), self._a(L)
+        dims = self.category.dhom_dims(Y, X)
+        e = el - ex - ey - dims.get(0, 0) - _brace_exponent(dims)
+        return Fraction(count * al, ax * ay) * Fraction(self.q) ** e
 
     # -- products ------------------------------------------------------------
 
     def _basis_product(self, X: DerivedObject, Y: DerivedObject):
-        """[X]*[Y] as (d, ((L, A, B), ...)), the sum of (A + B sqrt(q))/d [L]
+        """[X]*u_Y as (d, ((L, A, B), ...)), the sum of (A + B sqrt(q))/d u_L
         in the order of L.summands, reduced.
 
         The product is shift-equivariant, so only the pair translated to
@@ -298,20 +291,24 @@ class HallAlgebra:
         return out
 
     def _sweep(self, X: DerivedObject, Y: DerivedObject):
+        """[X]*u_Y with u_Y = a(Y)[Y], in the u basis: a(Y) and a(L) cancel
+        from the Riedtmann formula, so every u_L has the constant
+        N_L q^{<Y,X>/2} / (a(X) |Hom(Y,X)| {Y,X})."""
         q = self.q
         # N_L: how many w in Hom(Y[-1], X) complete to Y[-1] -> X -> L
         counts = self.category.cone_counts(Y.shifted(-1), X)
-        d, weights = self._weights(X, Y, counts)
+        ax, ex = self._a(X)
+        dims = self.category.dhom_dims(Y, X)
         # the twist q^{<Y,X>/2} = q^half sqrt(q)^odd
-        half, odd = divmod(self.category.euler_form(Y, X), 2)
-        low = min(0, min((t for _L, _n, t in weights), default=0) + half)
-        d *= q ** -low
+        half, odd = divmod(sum((-1) ** (k % 2) * n for k, n in dims.items()), 2)
+        t = half - ex - dims.get(0, 0) - _brace_exponent(dims)
+        d, scale = ax * q ** max(0, -t), q ** max(0, t)
         root = math.isqrt(q)
-        fold = odd and root * root == q  # sqrt(q) is an integer: fold it into A
-        nums = sorted((L.summands, L, n * (root if fold else 1) * q ** (t + half - low))
-                      for L, n, t in weights)
+        if odd and root * root == q:  # sqrt(q) is an integer: fold it into A
+            scale, odd = scale * root, 0
+        nums = sorted((L.summands, L, n * scale) for L, n in counts.items())
         g = math.gcd(d, *(n for _k, _L, n in nums))
-        if odd and not fold:
+        if odd:
             return d // g, tuple((self._intern(L), 0, n // g) for _k, L, n in nums)
         return d // g, tuple((self._intern(L), n // g, 0) for _k, L, n in nums)
 
@@ -342,14 +339,24 @@ class HallAlgebra:
         return self._combine(d, [(a, b, self._basis_product(X, Y)) for Y, a, b in terms])
 
     def _element(self, x: Numerators) -> HallElement:
+        """A kernel element, in the u basis, as a HallElement: u_L = a(L)[L]."""
         d, terms = x
-        return HallElement(self.q, {L: QuadraticScalar(self.q, Fraction(a, d), Fraction(b, d))
-                                    for L, a, b in terms})
+        q, out = self.q, {}
+        for L, a, b in terms:
+            aut, e = self._a(L)
+            n, m = aut * q ** max(e, 0), d * q ** max(-e, 0)
+            out[L] = QuadraticScalar(q, Fraction(a * n, m), Fraction(b * n, m))
+        return HallElement(q, out)
 
     def hall_product(self, x: HallElement, y: HallElement) -> HallElement:
         if x.q != self.q or y.q != self.q:
             raise ValueError("element/algebra q mismatch")
-        d, nums = _common_denominator([(c.a, c.b) for c in y.terms.values()])
+        pairs = []
+        for Y, c in y.terms.items():  # [Y] = u_Y / a(Y)
+            aut, e = self._a(Y)
+            s = 1 / (aut * Fraction(self.q) ** e)
+            pairs.append((c.a * s, c.b * s))
+        d, nums = _common_denominator(pairs)
         acc = (d, tuple((Y, a, b) for Y, (a, b) in zip(y.terms, nums)))
         e, nums = _common_denominator([(c.a, c.b) for c in x.terms.values()])
         return self._element(self._combine(1, [_part((a, b, e), self._left_mul(X, acc))
@@ -386,7 +393,7 @@ class HallAlgebra:
                                      assign, scalars)
                     for g in dict.fromkeys(g for _k, rev, _c in entries for g in rev)}
         totals: List[Numerators] = [(1, ()) for _ in polys]
-        stack = [(1, ((DerivedObject.zero(), 1, 0),))]
+        stack = [(1, ((DerivedObject.zero(), 1, 0),))]  # [0] = u_0: a(0) = 1
         for k, rev, (i, coeff) in entries:
             del stack[k + 1:]
             for g in rev[k:]:

@@ -104,14 +104,15 @@ class FiniteField:
         self.p, self.k = pk
         if self.k == 1:
             self.modulus = None
-        else:
-            modulus = modulus or _DEFAULT_MODULI.get(q) or self._first_irreducible()
+        elif modulus:  # only a caller's modulus needs the check
             modulus = tuple(c % self.p for c in modulus)
             if len(modulus) != self.k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
             if not self._modulus_irreducible(modulus):
                 raise ValueError("modulus is reducible")
             self.modulus = modulus
+        else:
+            self.modulus = _DEFAULT_MODULI.get(q) or self._first_irreducible()
         self.add_t = _Lazy(lambda x: _Lazy(functools.partial(self._add, x)))
         self.mul_t = _Lazy(lambda x: _Lazy(functools.partial(self._mul, x)))
         self.neg_t = _Lazy(lambda x: self._undigits([-a for a in self._digits(x)]))
@@ -420,8 +421,6 @@ class DerivedCategory:
             raise ValueError("need m >= 2")
         self.m = m
         self.field = field
-        self._dhom_cache: Dict[Tuple, Dict[int, int]] = {}
-        self._aut_cache: Dict[Tuple, int] = {}
         self._cone_cache: Dict[Tuple, DerivedObject] = {}
         # touched summands of X and Y at lowest shift 0 -> their ``_census``
         self._census_cache: Dict[Tuple, Dict[Tuple, int]] = {}
@@ -438,18 +437,13 @@ class DerivedCategory:
         pairs of summands M[a,b)[n] of X and M[c,d)[k] of Y, and each pair
         depends only on the relative shift k - n (``_pair_dims``).
         """
-        key = (X.summands, Y.summands)
-        cached = self._dhom_cache.get(key)
-        if cached is not None:
-            return cached
         total: Dict[int, int] = {}
         for (a, b, n) in X.summands:
             for (c, d, k) in Y.summands:
                 deg = self._pair_dims(a, b, c, d, k - n)
                 if deg is not None:
                     total[deg] = total.get(deg, 0) + 1
-        out = self._dhom_cache[key] = {deg: total[deg] for deg in sorted(total)}
-        return out
+        return {deg: total[deg] for deg in sorted(total)}
 
     def _pair_dims(self, a: int, b: int, c: int, d: int, r: int) -> Optional[int]:
         """The one degree k with Hom(M[a,b), M[c,d)[r][k]) != 0, or None;
@@ -661,13 +655,9 @@ class DerivedCategory:
 
         where the exponent is >= 0 since dim End X >= sum mult^2.
         """
-        key = X.summands
-        cached = self._aut_cache.get(key)
-        if cached is None:
-            q, e, count = self.field.q, self.dhom_dims(X, X).get(0, 0), 1
-            for mult in Counter(key).values():
-                e -= mult * (mult + 1) // 2
-                for j in range(1, mult + 1):
-                    count *= q ** j - 1
-            cached = self._aut_cache[key] = q ** e * count
-        return cached
+        q, e, count = self.field.q, self.dhom_dims(X, X).get(0, 0), 1
+        for mult in Counter(X.summands).values():
+            e -= mult * (mult + 1) // 2
+            for j in range(1, mult + 1):
+                count *= q ** j - 1
+        return q ** e * count

@@ -47,11 +47,23 @@ from field_oracle import nullspace
 from rep_oracle import QuiverRep, barcode
 
 
+def a_value(alg, Z) -> Fraction:
+    """a(Z) = |Aut Z| {Z,Z} as a Fraction, from the package's memo."""
+    aut, e = alg._a(Z)
+    return aut * Fraction(alg.q) ** e
+
+
 def basis_product(alg, X, Y):
-    """[X]*[Y] as a dict L -> QuadraticScalar, in the package's key order."""
+    """[X]*[Y] as a dict L -> QuadraticScalar, in the package's key order.
+
+    The package's kernel computes [X]*u_Y in the basis u_Z = a(Z)[Z], so
+    each term is scaled by a(L)/a(Y)."""
     d, terms = alg._basis_product(X, Y)
-    return {L: QuadraticScalar(alg.q, Fraction(a, d), Fraction(b, d))
-            for L, a, b in terms}
+    out = {}
+    for L, a, b in terms:
+        c = a_value(alg, L) / (d * a_value(alg, Y))
+        out[L] = QuadraticScalar(alg.q, a * c, b * c)
+    return out
 
 
 def hall_product(alg, x, y):

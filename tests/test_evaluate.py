@@ -146,6 +146,35 @@ def test_generator_without_image_fails_before_any_product(monkeypatch):
     assert calls == []
 
 
+def test_a_is_computed_only_at_the_edges(monkeypatch):
+    """The kernel works in the basis u_Z = a(Z)[Z], where a(Y) and a(L)
+    cancel from every structure constant: |Aut Z| is counted only for the
+    letters (the left factors) and for the classes of the results, once
+    per class modulo the shift."""
+    rs = minimal_disk_relations(MarkedDisk(FoliationData(5, (1, 0, 1, 0, 1))), (-1, 1))
+    polys = [p for r in rs.relations for p in (r.lhs, r.rhs)]
+    assign = simples_assignment(rs.oracle_m)
+    alg = HallAlgebra(rs.oracle_m, 2)
+    calls = []
+    aut_count = alg.category.aut_count
+
+    def counted(Z):
+        calls.append(Z)
+        return aut_count(Z)
+
+    monkeypatch.setattr(alg.category, "aut_count", counted)
+    values = alg.evaluate_many(polys, assign, rs.expand)
+
+    def base(Z):
+        return Z.shifted(-min((n for _a, _b, n in Z.summands), default=0))
+
+    letters = {assign[h.family, h.index] for p in polys for g in p.generators()
+               for h in rs.expand(g).generators()}
+    classes = letters | {base(L) for v in values for L in v.terms}
+    assert 0 < len(calls) <= len(classes)
+    assert len(set(calls)) == len(calls) and all(base(Z) == Z for Z in calls)
+
+
 def test_walk_accumulators_are_reduced(monkeypatch):
     """Every left multiplication of the walk returns (d, ((L, A, B), ...))
     with d > 0, gcd(d, every A and B) = 1 and no zero term."""

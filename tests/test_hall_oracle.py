@@ -109,8 +109,11 @@ def check_products(q, m, shift):
         assert list(product) == sorted(counts, key=lambda o: o.summands)
         euler = sum((-1) ** (k % 2) * d for k, d in full_complex_dims(cat, Y, X).items())
         twist = QuadraticScalar.sqrt_q_power(q, euler)
-        # the halves as the kernel holds them: at a square q, B is 0
-        halves = {L: (Fraction(a, d), Fraction(b, d)) for L, a, b in terms}
+        # the halves as the kernel holds them, in the basis u_Z = a(Z)[Z],
+        # scaled to [L]: at a square q, B is 0
+        scale = {L: hall_oracle.a_value(alg, L) / (d * hall_oracle.a_value(alg, Y))
+                 for L, _a, _b in terms}
+        halves = {L: (a * scale[L], b * scale[L]) for L, a, b in terms}
         for L, n in counts.items():
             expected = hall_oracle.structure_constant(alg, X, Y, L)
             assert expected != 0
