@@ -62,13 +62,17 @@ generator and call as a sorted program of reversed words, is multiplied
 onto the parent value letter by letter, right to left, so a single basis
 class stays on the left of every product, and the words are summed with
 their coefficients.
-Inside the kernel an element is (d, ((L, A, B), ...)), the sum of
-(A + B sqrt(q))/d u_L with Python ints, reduced by one gcd per product
-(``_combine``); the product cache stores the same form.  QuadraticScalar
-coefficients are built only for the results, and ``hall_product`` goes
-through the same kernel.  The per-word route on QuadraticScalar and the
-route that expands every polynomial in Q(v) first are kept in
-``tests/hall_oracle.py``.
+Inside the kernel an element is (d, ((i, A, B), ...)), the sum of
+(A + B sqrt(q))/d u_L with i the class id of L and Python ints, reduced by
+one gcd per product (``_combine``); the product cache stores the same form
+under the pair of ids.  The algebra gives each isoclass a small int id, and
+memoises its translates, so every dict of the kernel hashes ints; a
+DerivedObject is built only at the edges (``_element``, ``hall_product``,
+``structure_constant``) and for the Hom dims of a new sweep or class.
+QuadraticScalar coefficients are built only for the results, and
+``hall_product`` goes through the same kernel.  The per-word route on
+QuadraticScalar and the route that expands every polynomial in Q(v) first
+are kept in ``tests/hall_oracle.py``.
 """
 
 from __future__ import annotations
@@ -179,9 +183,9 @@ class HallElement:
 
 
 #: a Hall element inside the kernel: (d, ((L, A, B), ...)) stands for
-#: sum_L (A + B sqrt(q))/d u_L, u_L = a(L)[L], with ints, d > 0, no zero
-#: term and gcd(d, every A and B) = 1
-Numerators = Tuple[int, Tuple[Tuple[DerivedObject, int, int], ...]]
+#: sum_L (A + B sqrt(q))/d u_L, u_L = a(L)[L], with L a class id of the
+#: ``HallAlgebra``, ints, d > 0, no zero term and gcd(d, every A and B) = 1
+Numerators = Tuple[int, Tuple[Tuple[int, int, int], ...]]
 
 
 def _common_denominator(pairs):
@@ -225,80 +229,108 @@ class HallAlgebra:
         self.q = q
         self.field = FiniteField(q, modulus)
         self.category = DerivedCategory(m, self.field)
-        # (X.summands, Y.summands) -> (d, ((L, A, B), ...))
-        self._product_cache: Dict[Tuple, Tuple] = {}
-        # one instance per cone class, shared by every cached product
-        self._objects: Dict[Tuple, DerivedObject] = {}
-        # Z.summands at lowest shift 0 -> (|Aut Z|, e) with a(Z) = |Aut Z| q^e
-        self._a_cache: Dict[Tuple, Tuple[int, int]] = {}
+        # the class table: id <-> summands, and each class's lowest summand
+        # shift (None for 0)
+        self._ids: Dict[Tuple, int] = {}
+        self._summands: List[Tuple] = []
+        self._low: List[Optional[int]] = []
+        # (id, k) -> id of the class translated by k
+        self._shifts: Dict[Tuple[int, int], int] = {}
+        # (id of X, id of Y) -> (d, ((id of L, A, B), ...))
+        self._product_cache: Dict[Tuple[int, int], Numerators] = {}
+        # id of Z at lowest shift 0 -> (|Aut Z|, e) with a(Z) = |Aut Z| q^e
+        self._a_memo: Dict[int, Tuple[int, int]] = {}
+
+    # -- the class table -----------------------------------------------------
+
+    def _id(self, summands: Tuple) -> int:
+        """The id of the class with these (sorted) summands."""
+        i = self._ids.get(summands)
+        if i is None:
+            i = self._ids[summands] = len(self._summands)
+            self._summands.append(summands)
+            self._low.append(min(n for (_a, _b, n) in summands) if summands else None)
+        return i
+
+    def _shift(self, i: int, k: int) -> int:
+        """The id of class i translated by k."""
+        j = self._shifts.get((i, k))
+        if j is None:
+            # a uniform shift keeps the order of the summands
+            j = self._shifts[i, k] = self._id(
+                tuple([(a, b, n + k) for (a, b, n) in self._summands[i]]))
+        return j
+
+    def _object(self, i: int) -> DerivedObject:
+        return DerivedObject(self._summands[i])
 
     # -- scalar-valued ingredients ------------------------------------------
 
-    def braces(self, X: DerivedObject, Y: DerivedObject) -> Fraction:
-        """{X,Y} = prod_{n>0} |Ext^{-n}(X,Y)|^{(-1)^n} as an exact rational."""
-        return Fraction(self.q) ** _brace_exponent(self.category.dhom_dims(X, Y))
-
-    def _a(self, Z: DerivedObject) -> Tuple[int, int]:
-        """a(Z) = |Aut Z| {Z,Z} as (|Aut Z|, e), meaning |Aut Z| q^e.
+    def _a(self, i: int) -> Tuple[int, int]:
+        """a(Z) = |Aut Z| {Z,Z} as (|Aut Z|, e), meaning |Aut Z| q^e, for the
+        class Z of id i.
 
         Both factors are shift-invariant, so they are computed and memoised
         for Z translated to lowest summand shift 0."""
-        s = min((n for (_a, _b, n) in Z.summands), default=0)
-        base = Z.shifted(-s) if s else Z
-        out = self._a_cache.get(base.summands)
+        low = self._low[i]
+        if low:
+            i = self._shift(i, -low)
+        out = self._a_memo.get(i)
         if out is None:
-            out = self._a_cache[base.summands] = (
-                self.category.aut_count(base),
-                _brace_exponent(self.category.dhom_dims(base, base)))
+            Z = self._object(i)
+            out = self._a_memo[i] = (self.category.aut_count(Z),
+                                     _brace_exponent(self.category.dhom_dims(Z, Z)))
         return out
 
     def structure_constant(self, X: DerivedObject, Y: DerivedObject,
                            L: DerivedObject, count: int) -> Fraction:
         """F^L_{X,Y} = N_L a(L) / (a(X) a(Y) |Hom(Y,X)| {Y,X}) from
         count = N_L = #{w in Hom(Y[-1], X) : cone(w) = L}."""
-        (ax, ex), (ay, ey), (al, el) = self._a(X), self._a(Y), self._a(L)
+        (ax, ex), (ay, ey), (al, el) = (self._a(self._id(Z.summands)) for Z in (X, Y, L))
         dims = self.category.dhom_dims(Y, X)
         e = el - ex - ey - dims.get(0, 0) - _brace_exponent(dims)
         return Fraction(count * al, ax * ay) * Fraction(self.q) ** e
 
     # -- products ------------------------------------------------------------
 
-    def _basis_product(self, X: DerivedObject, Y: DerivedObject):
-        """[X]*u_Y as (d, ((L, A, B), ...)), the sum of (A + B sqrt(q))/d u_L
-        in the order of L.summands, reduced.
+    def _basis_product(self, x: int, y: int) -> Numerators:
+        """[X]*u_Y for the classes of ids x, y as (d, ((L, A, B), ...)), the
+        sum of (A + B sqrt(q))/d u_L in the order of the summands of L,
+        reduced.
 
         The product is shift-equivariant, so only the pair translated to
         lowest summand shift 0 is swept; the result is shifted back and
         also stored under the caller's key, so a repeated call returns the
         same tuple.
         """
-        key = (X.summands, Y.summands)
+        key = (x, y)
         cached = self._product_cache.get(key)
         if cached is not None:
             return cached
-        s = min((n for (_a, _b, n) in key[0] + key[1]), default=0)
+        s = min((n for n in (self._low[x], self._low[y]) if n is not None), default=0)
         if s == 0:
-            out = self._sweep(X, Y)
+            out = self._sweep(x, y)
         else:
-            X, Y = X.shifted(-s), Y.shifted(-s)
-            base = self._product_cache.get((X.summands, Y.summands))
+            x, y = self._shift(x, -s), self._shift(y, -s)
+            base = self._product_cache.get((x, y))
             if base is None:
-                base = self._product_cache[X.summands, Y.summands] = self._sweep(X, Y)
-            # shifting every L by s keeps the order of the keys
+                base = self._product_cache[x, y] = self._sweep(x, y)
+            # shifting every L by s keeps the order of the terms
             d, terms = base
-            out = (d, tuple((self._intern(L.shifted(s)), a, b) for L, a, b in terms))
+            out = (d, tuple([(self._shift(L, s), a, b) for L, a, b in terms]))
         self._product_cache[key] = out
         return out
 
-    def _sweep(self, X: DerivedObject, Y: DerivedObject):
+    def _sweep(self, x: int, y: int) -> Numerators:
         """[X]*u_Y with u_Y = a(Y)[Y], in the u basis: a(Y) and a(L) cancel
         from the Riedtmann formula, so every u_L has the constant
         N_L q^{<Y,X>/2} / (a(X) |Hom(Y,X)| {Y,X})."""
         q = self.q
+        xs, ys = self._summands[x], self._summands[y]
         # N_L: how many w in Hom(Y[-1], X) complete to Y[-1] -> X -> L
-        counts = self.category.cone_counts(Y.shifted(-1), X)
-        ax, ex = self._a(X)
-        dims = self.category.dhom_dims(Y, X)
+        counts = self.category.cone_counts(tuple([(a, b, n - 1) for (a, b, n) in ys]), xs)
+        ax, ex = self._a(x)
+        dims = self.category.dhom_dims(self._object(y), self._object(x))
         # the twist q^{<Y,X>/2} = q^half sqrt(q)^odd
         half, odd = divmod(sum((-1) ** (k % 2) * n for k, n in dims.items()), 2)
         t = half - ex - dims.get(0, 0) - _brace_exponent(dims)
@@ -306,14 +338,11 @@ class HallAlgebra:
         root = math.isqrt(q)
         if odd and root * root == q:  # sqrt(q) is an integer: fold it into A
             scale, odd = scale * root, 0
-        nums = sorted((L.summands, L, n * scale) for L, n in counts.items())
-        g = math.gcd(d, *(n for _k, _L, n in nums))
+        nums = sorted((L, n * scale) for L, n in counts.items())
+        g = math.gcd(d, *(n for _L, n in nums))
         if odd:
-            return d // g, tuple((self._intern(L), 0, n // g) for _k, L, n in nums)
-        return d // g, tuple((self._intern(L), n // g, 0) for _k, L, n in nums)
-
-    def _intern(self, L: DerivedObject) -> DerivedObject:
-        return self._objects.setdefault(L.summands, L)
+            return d // g, tuple([(self._id(L), 0, n // g) for L, n in nums])
+        return d // g, tuple([(self._id(L), n // g, 0) for L, n in nums])
 
     def _combine(self, d: int, parts) -> Numerators:
         """(1/d) sum (a + b sqrt(q)) x over parts (a, b, x), x an element.
@@ -321,7 +350,7 @@ class HallAlgebra:
         The one multiplication of the kernel: one gcd reduces the result."""
         q = self.q
         den = math.lcm(*(x[0] for _a, _b, x in parts))
-        out: Dict[DerivedObject, Tuple[int, int]] = {}
+        out: Dict[int, Tuple[int, int]] = {}
         for a, b, (e, terms) in parts:
             k = den // e
             a, b = a * k, b * k
@@ -333,10 +362,12 @@ class HallAlgebra:
         g = math.gcd(d, *(x for ab in out.values() for x in ab))
         return d // g, tuple((L, a // g, b // g) for L, (a, b) in out.items() if a or b)
 
-    def _left_mul(self, X: DerivedObject, acc: Numerators) -> Numerators:
-        """[X] * acc."""
+    def _left_mul(self, x: int, acc: Numerators) -> Numerators:
+        """[X] * acc, for the class X of id x."""
         d, terms = acc
-        return self._combine(d, [(a, b, self._basis_product(X, Y)) for Y, a, b in terms])
+        if d == 1 and len(terms) == 1 and terms[0][1] == 1 and not terms[0][2]:
+            return self._basis_product(x, terms[0][0])  # acc = u_Y: nothing to sum
+        return self._combine(d, [(a, b, self._basis_product(x, y)) for y, a, b in terms])
 
     def _element(self, x: Numerators) -> HallElement:
         """A kernel element, in the u basis, as a HallElement: u_L = a(L)[L]."""
@@ -345,22 +376,24 @@ class HallAlgebra:
         for L, a, b in terms:
             aut, e = self._a(L)
             n, m = aut * q ** max(e, 0), d * q ** max(-e, 0)
-            out[L] = QuadraticScalar(q, Fraction(a * n, m), Fraction(b * n, m))
+            out[self._object(L)] = QuadraticScalar(q, Fraction(a * n, m), Fraction(b * n, m))
         return HallElement(q, out)
 
     def hall_product(self, x: HallElement, y: HallElement) -> HallElement:
         if x.q != self.q or y.q != self.q:
             raise ValueError("element/algebra q mismatch")
+        ys = [self._id(Y.summands) for Y in y.terms]
         pairs = []
-        for Y, c in y.terms.items():  # [Y] = u_Y / a(Y)
-            aut, e = self._a(Y)
+        for i, c in zip(ys, y.terms.values()):  # [Y] = u_Y / a(Y)
+            aut, e = self._a(i)
             s = 1 / (aut * Fraction(self.q) ** e)
             pairs.append((c.a * s, c.b * s))
         d, nums = _common_denominator(pairs)
-        acc = (d, tuple((Y, a, b) for Y, (a, b) in zip(y.terms, nums)))
+        acc = (d, tuple((i, a, b) for i, (a, b) in zip(ys, nums)))
         e, nums = _common_denominator([(c.a, c.b) for c in x.terms.values()])
-        return self._element(self._combine(1, [_part((a, b, e), self._left_mul(X, acc))
-                                               for X, (a, b) in zip(x.terms, nums)]))
+        return self._element(self._combine(1, [
+            _part((a, b, e), self._left_mul(self._id(X.summands), acc))
+            for X, (a, b) in zip(x.terms, nums)]))
 
     # -- evaluation of free-algebra expressions ------------------------------
 
@@ -393,7 +426,7 @@ class HallAlgebra:
                                      assign, scalars)
                     for g in dict.fromkeys(g for _k, rev, _c in entries for g in rev)}
         totals: List[Numerators] = [(1, ()) for _ in polys]
-        stack = [(1, ((DerivedObject.zero(), 1, 0),))]  # [0] = u_0: a(0) = 1
+        stack = [(1, ((self._id(()), 1, 0),))]  # [0] = u_0: a(0) = 1
         for k, rev, (i, coeff) in entries:
             del stack[k + 1:]
             for g in rev[k:]:
@@ -413,17 +446,17 @@ class HallAlgebra:
 
     def _program(self, image: NCPolynomial, assign, scalars):
         """An image as a program for ``_run``: its reversed words in trie
-        order, each as (k, the basis objects after its first k letters, its
+        order, each as (k, the class ids after its first k letters, its
         coefficient as (A, B, d))."""
         program = []
         for k, rev, coeff in _trie_order((w[::-1], c) for w, c in image.terms.items()):
-            objs = []
+            ids = []
             for g in rev[k:]:
                 base = assign.get((g.family, g.index))
                 if base is None:
                     raise ValueError(f"no assignment for generator {g}")
-                objs.append(base.shifted(g.shift))
-            program.append((k, objs, self._scalar(coeff, scalars)))
+                ids.append(self._shift(self._id(base.summands), g.shift))
+            program.append((k, ids, self._scalar(coeff, scalars)))
         return program
 
     def _run(self, program, x: Numerators) -> Numerators:
@@ -432,10 +465,10 @@ class HallAlgebra:
         the shared suffix values as in ``evaluate_many``."""
         stack = [x]
         parts = []
-        for k, objs, c in program:
+        for k, ids, c in program:
             del stack[k + 1:]
-            for X in objs:
-                stack.append(self._left_mul(X, stack[-1]))
+            for x in ids:
+                stack.append(self._left_mul(x, stack[-1]))
             parts.append(_part(c, stack[-1]))
         if len(program) == 1 and program[0][2] == (1, 0, 1):
             return stack[-1]  # one word with coefficient 1: nothing to sum

@@ -22,10 +22,11 @@ Everything is computed honestly over F_q:
   Degree-0 Hom is the sum of one-dimensional blocks, one per summand pair
   whose degree is 0, each spanned by a basis chain map written down
   directly; ``enumerate_dhoms`` lists their F_q-combinations.
-* ``cone_counts`` -- N_L = #{w : X -> Y with cone L}, from one cone per
-  torus orbit of block-support patterns: Hom between indecomposables is at
-  most one dimensional in each degree, cones split over the connected
-  components of the support, and the torus of Aut X x Aut Y preserves them.
+* ``cone_counts`` -- N_L = #{w : X -> Y with cone L}, on summand tuples,
+  from one cone per torus orbit of block-support patterns: Hom between
+  indecomposables is at most one dimensional in each degree, cones split
+  over the connected components of the support, and the torus of
+  Aut X x Aut Y preserves them.
   A summand in no block passes into every cone unchanged, so the census
   runs on the touched summands only; it and each component's cone are
   memoised modulo the shift functor.
@@ -455,9 +456,6 @@ class DerivedCategory:
             return 1 - r
         return None
 
-    def euler_form(self, X: DerivedObject, Y: DerivedObject) -> int:
-        return sum((-1) ** (k % 2) * d for k, d in self.dhom_dims(X, Y).items())
-
     def _hom_blocks(self, xs, ys) -> List[Tuple[int, int]]:
         """The pairs (i, j) of summands xs[i], ys[j] with Hom(xs[i], ys[j])
         != 0 in degree 0; each such block is one dimensional, spanned by
@@ -475,8 +473,9 @@ class DerivedCategory:
 
     # -- cone counts over torus orbits of support patterns -------------------
 
-    def cone_counts(self, X: DerivedObject, Y: DerivedObject) -> Dict[DerivedObject, int]:
-        """N_L = #{w in Hom(X, Y) : cone(w) = L} for every cone class L.
+    def cone_counts(self, xs, ys) -> Dict[Tuple, int]:
+        """N_L = #{w in Hom(X, Y) : cone(w) = L} for every cone class L, with
+        X, Y and L given by their summands (sorted).
 
         Hom between two indecomposables is at most one dimensional in each
         degree, so Hom(X, Y) is a sum of one-dimensional blocks, one per
@@ -486,7 +485,6 @@ class DerivedCategory:
         ``_census``, memoised modulo the shift functor, and merged with
         the untouched ones.
         """
-        xs, ys = X.summands, Y.summands
         edges = self._hom_blocks(xs, ys)
         hit_x, hit_y = {i for i, _j in edges}, {j for _i, j in edges}
         rest = [(a, b, n + 1) for i, (a, b, n) in enumerate(xs) if i not in hit_x]
@@ -499,7 +497,7 @@ class DerivedCategory:
         census = self._census_cache.get(key)
         if census is None:
             census = self._census_cache[key] = self._census(*key)
-        return {DerivedObject(tuple(sorted(rest + [(a, b, n + s) for (a, b, n) in cone]))): count
+        return {tuple(sorted(rest + [(a, b, n + s) for (a, b, n) in cone])): count
                 for cone, count in census.items()}
 
     def _census(self, xs, ys) -> Dict[Tuple, int]:

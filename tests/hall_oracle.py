@@ -29,6 +29,14 @@ map of a one-dimensional Hom, off a closed form.  The route this replaced
 solves the Hom complex of the projective complexes, and lists the homotopy
 classes of maps between whole objects for the two-sweep counts above.
 
+Test-only scalars (``euler_form``, ``braces``): the Euler form <X,Y> and
+{X,Y} of two objects, read off ``dhom_dims``.  The package reads both off
+the one ``dhom_dims`` of a sweep, so they have no entry point there.
+
+The class table (``class_id``, ``basis_product``): the package's kernel
+names each isoclass by a small integer id; these map a ``DerivedObject`` to
+its id and a kernel product back to objects.
+
 Identification by homology (``identify_by_homology``): the package names a
 complex of projectives from ranks of submatrices of its differentials.  The
 route this replaced builds each homology representation H^d (kernel bases,
@@ -47,20 +55,38 @@ from field_oracle import nullspace
 from rep_oracle import QuiverRep, barcode
 
 
+def euler_form(cat, X, Y) -> int:
+    """<X,Y> = sum_k (-1)^k dim Hom(X, Y[k])."""
+    return sum((-1) ** (k % 2) * d for k, d in cat.dhom_dims(X, Y).items())
+
+
+def braces(cat, X, Y) -> Fraction:
+    """{X,Y} = prod_{n>0} |Ext^{-n}(X,Y)|^{(-1)^n} as an exact rational."""
+    e = sum((-1) ** (k % 2) * d for k, d in cat.dhom_dims(X, Y).items() if k < 0)
+    return Fraction(cat.field.q) ** e
+
+
+def class_id(alg, X) -> int:
+    """The id of the class of X in the package's class table."""
+    return alg._id(X.summands)
+
+
 def a_value(alg, Z) -> Fraction:
     """a(Z) = |Aut Z| {Z,Z} as a Fraction, from the package's memo."""
-    aut, e = alg._a(Z)
+    aut, e = alg._a(class_id(alg, Z))
     return aut * Fraction(alg.q) ** e
 
 
 def basis_product(alg, X, Y):
     """[X]*[Y] as a dict L -> QuadraticScalar, in the package's key order.
 
-    The package's kernel computes [X]*u_Y in the basis u_Z = a(Z)[Z], so
-    each term is scaled by a(L)/a(Y)."""
-    d, terms = alg._basis_product(X, Y)
+    The package's kernel computes [X]*u_Y on class ids, in the basis
+    u_Z = a(Z)[Z], so each term is mapped back to its object and scaled by
+    a(L)/a(Y)."""
+    d, terms = alg._basis_product(class_id(alg, X), class_id(alg, Y))
     out = {}
-    for L, a, b in terms:
+    for i, a, b in terms:
+        L = DerivedObject(alg._summands[i])
         c = a_value(alg, L) / (d * a_value(alg, Y))
         out[L] = QuadraticScalar(alg.q, a * c, b * c)
     return out
@@ -346,4 +372,4 @@ def structure_constant(alg, X, Y, L) -> Fraction:
     count = sum(1 for f in enumerate_dhoms(cat, X, L) if cat.cone(f) == Y)
     if count == 0:
         return Fraction(0)
-    return Fraction(count, aut_count(cat, X)) * alg.braces(X, L) / alg.braces(X, X)
+    return Fraction(count, aut_count(cat, X)) * braces(cat, X, L) / braces(cat, X, X)

@@ -66,8 +66,13 @@ def is_reduced(d, numerators):
 
 
 def assert_cache_reduced(alg):
+    """Every cached product is keyed by a pair of class ids and reduced, and
+    names its classes by id."""
     assert alg._product_cache
-    for d, terms in alg._product_cache.values():
+    classes = range(len(alg._summands))
+    for (x, y), (d, terms) in alg._product_cache.items():
+        assert x in classes and y in classes
+        assert all(L in classes for L, _a, _b in terms)
         assert is_reduced(d, [v for _L, a, b in terms for v in (a, b)])
 
 
@@ -134,7 +139,7 @@ def test_zero_and_scalar_images(q):
 def test_generator_without_image_fails_before_any_product(monkeypatch):
     alg = HallAlgebra(3, 2)
     calls = []
-    monkeypatch.setattr(alg, "_basis_product", lambda X, Y: calls.append((X, Y)))
+    monkeypatch.setattr(alg, "_basis_product", lambda x, y: calls.append((x, y)))
     E1, E5 = egen(1, 0), egen(5, 0)
     for polys, expand in (([E1 * E1, E1 * E5], image),
                           ([zgen(1, 0) * egen(1, 0)], None)):
@@ -183,8 +188,8 @@ def test_walk_accumulators_are_reduced(monkeypatch):
     seen = []
     left_mul = alg._left_mul
 
-    def recorded(X, acc):
-        out = left_mul(X, acc)
+    def recorded(x, acc):
+        out = left_mul(x, acc)
         seen.append(out)
         return out
 
@@ -195,6 +200,25 @@ def test_walk_accumulators_are_reduced(monkeypatch):
         assert all(a or b for _L, a, b in terms)
         assert is_reduced(d, [v for _L, a, b in terms for v in (a, b)])
     assert_cache_reduced(alg)
+
+
+def test_single_term_left_mul_is_the_cached_product(monkeypatch):
+    """[X] * u_Y is the cached product tuple itself, with no sum; a term
+    with another coefficient, or a second term, is summed by ``_combine``."""
+    alg = HallAlgebra(3, 2)
+    combined = []
+    combine = alg._combine
+    monkeypatch.setattr(alg, "_combine", lambda d, parts: combined.append(d) or combine(d, parts))
+    x, y, z = (hall_oracle.class_id(alg, DerivedObject.simple(i, n))
+               for i, n in ((1, 0), (2, 0), (1, 1)))
+    out = alg._left_mul(x, (1, ((y, 1, 0),)))
+    assert out is alg._product_cache[x, y] and out is alg._basis_product(x, y)
+    assert combined == []
+    assert alg._left_mul(x, (2, ((y, 1, 0),))) == combine(2, [(1, 0, out)])
+    assert alg._left_mul(x, (1, ((y, 0, 1),))) == combine(1, [(0, 1, out)])
+    both = alg._left_mul(x, (1, ((y, 1, 0), (z, 1, 0))))
+    assert both == combine(1, [(1, 0, out), (1, 0, alg._basis_product(x, z))])
+    assert len(combined) == 3
 
 
 # -- random polynomials and elements ----------------------------------------
@@ -256,7 +280,7 @@ def test_shared_suffix_is_multiplied_once(monkeypatch):
     alg = HallAlgebra(3, 2)
     calls = []
     left_mul = alg._left_mul
-    monkeypatch.setattr(alg, "_left_mul", lambda X, acc: calls.append(X) or left_mul(X, acc))
+    monkeypatch.setattr(alg, "_left_mul", lambda x, acc: calls.append(x) or left_mul(x, acc))
     z = [Generator("z", i, 0) for i in (1, 2)]
     polys = [NCPolynomial.word((z[0], z[1], z[0])), NCPolynomial.word((z[1], z[1], z[0]))]
     values = alg.evaluate_many(polys, ASSIGN)

@@ -1,10 +1,11 @@
-"""Golden reports: SHA-256 digests of the JSON reports of seven fast CLI
+"""Golden reports: SHA-256 digests of the JSON reports of eight fast CLI
 commands that the benchmark workloads do not cover.  The first five were
 recorded from the code before the evaluation layer moved to a trie walk on
-integer numerators, the last two (the skein suite at q = 3 and the m = 5
+integer numerators, the next two (the skein suite at q = 3 and the m = 5
 boundary-arc bracket at the square q = 4) before generator images were
-applied inside the walk; a change to the evaluation route must leave them
-as they are."""
+applied inside the walk, and the last (the minimal disk at m = 6, larger
+objects than any other) before the kernel named classes by integer ids; a
+change to the evaluation route must leave them as they are."""
 
 import hashlib
 import json
@@ -33,6 +34,8 @@ GOLDEN = [
      "f5dbf4a9e5709d6f47a2b7eb2dfac4d122308c42b8c80f528dd0aa4fe84cd6c8"),
     (["verify-disk", "--m", "5", "--h", "2,0,1,0,0", "--shifts", "0..0", "--q", "4"],
      "145f8ec637abd0c0af096113eee075096961351d20888070f2e7052664b4ced5"),
+    (["verify-disk", "--m", "6", "--h", "1,0,1,0,1,1", "--shifts", "0..0", "--q", "2"],
+     "9872a493ec67b48a77dec0cfa4b4615255fecf35b9cbbd00dc7015553aaa4902"),
 ]
 
 

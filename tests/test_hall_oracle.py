@@ -7,10 +7,11 @@ small cases: products with dim X + dim Y <= 3 and objects of total dimension
 <= 3, with summand shifts in 0..2, taken up to an overall shift (which is an
 autoequivalence).  The product cache is checked on pairs translated by -2
 and +3, the a(Z) memo on objects shifted by -3..3, and the support-census memo
-of ``cone_counts`` on pairs translated by -3..3; the closed-form
-table of summand pairs against their Hom complex, and the graded Hom dims
-summed from it, and the maps ``enumerate_dhoms`` lists, against the Hom
-complex of the whole objects.  ``identify``, which
+of ``cone_counts`` on pairs translated by -3..3, and the kernel's class
+ids and their translates on every object of dimension <= 3, m <= 5; the
+closed-form table of summand pairs against their Hom complex, and the
+graded Hom dims summed from it, and the maps ``enumerate_dhoms`` lists,
+against the Hom complex of the whole objects.  ``identify``, which
 reads each homology map's rank off submatrices of a cone's differentials,
 is checked against the homology representations it replaced, on seeded
 random chain maps and on every component cone of the cyclic supports.
@@ -87,6 +88,11 @@ def morphism_sweep(cat, X, Y):
     return counts
 
 
+def cone_counts(cat, X, Y):
+    """``cone_counts``, which works on summand tuples, on objects."""
+    return {DerivedObject(L): n for L, n in cat.cone_counts(X.summands, Y.summands).items()}
+
+
 def check_products(q, m, shift):
     """Every constant of [X][Y], for X, Y translated by a common shift from
     lowest summand shift 0, against the two-sweep oracle run on the
@@ -102,18 +108,20 @@ def check_products(q, m, shift):
             continue
         X, Y = X0.shifted(shift), Y0.shifted(shift)
         counts = morphism_sweep(cat, Y.shifted(-1), X)
-        assert cat.cone_counts(Y.shifted(-1), X) == counts, (X, Y)
-        d, terms = alg._basis_product(X, Y)
+        assert cone_counts(cat, Y.shifted(-1), X) == counts, (X, Y)
+        d, terms = alg._basis_product(hall_oracle.class_id(alg, X), hall_oracle.class_id(alg, Y))
         assert d > 0 and math.gcd(d, *(v for _L, a, b in terms for v in (a, b))) == 1
         product = hall_oracle.basis_product(alg, X, Y)
         assert list(product) == sorted(counts, key=lambda o: o.summands)
         euler = sum((-1) ** (k % 2) * d for k, d in full_complex_dims(cat, Y, X).items())
         twist = QuadraticScalar.sqrt_q_power(q, euler)
-        # the halves as the kernel holds them, in the basis u_Z = a(Z)[Z],
-        # scaled to [L]: at a square q, B is 0
-        scale = {L: hall_oracle.a_value(alg, L) / (d * hall_oracle.a_value(alg, Y))
-                 for L, _a, _b in terms}
-        halves = {L: (a * scale[L], b * scale[L]) for L, a, b in terms}
+        # the halves as the kernel holds them, on class ids in the basis
+        # u_Z = a(Z)[Z], scaled to [L]: at a square q, B is 0
+        halves = {}
+        for i, a, b in terms:
+            L = DerivedObject(alg._summands[i])
+            scale = hall_oracle.a_value(alg, L) / (d * hall_oracle.a_value(alg, Y))
+            halves[L] = (a * scale, b * scale)
         for L, n in counts.items():
             expected = hall_oracle.structure_constant(alg, X, Y, L)
             assert expected != 0
@@ -153,7 +161,7 @@ def test_cone_counts_match_morphism_sweep(q):
             if dimension(X) + dimension(Y) > 3:
                 continue
             expected = morphism_sweep(cat, Y.shifted(-1), X)
-            assert cat.cone_counts(Y.shifted(-1), X) == expected, (X, Y)
+            assert cone_counts(cat, Y.shifted(-1), X) == expected, (X, Y)
             pairs += 1
     assert pairs > 2000
 
@@ -236,7 +244,7 @@ def test_cyclic_supports(m, xs, ys, q, monkeypatch):
     dim = cat.dhom_dims(Y1, X).get(0, 0)
     assert dim == len(xs) * len(ys)
     components = checked_identify(cat, monkeypatch)
-    counts = cat.cone_counts(Y1, X)
+    counts = cone_counts(cat, Y1, X)
     monkeypatch.undo()
     assert len(components) == len(cat._cone_cache) > 0
     assert counts == morphism_sweep(cat, Y1, X)
@@ -262,7 +270,7 @@ def test_census_memo_is_shift_invariant(q):
         cat._census_cache.clear()
         for t in range(-3, 4):
             a, b = src.shifted(t), dst.shifted(t)
-            assert cat.cone_counts(a, b) == morphism_sweep(cat, a, b), (a, b)
+            assert cone_counts(cat, a, b) == morphism_sweep(cat, a, b), (a, b)
         [(xs, ys)] = cat._census_cache
         assert len(xs) + len(ys) == touched
         assert min(n for (_a, _b, n) in xs + ys) == 0
@@ -275,7 +283,7 @@ def test_square_matrix_support_counts_ranks(q):
     rank 1, and S1 + S1 + S1[1] + S1[1] for w = 0."""
     cat = DerivedCategory(2, FiniteField(q))
     S = DerivedObject.of([(1, 2, 0)] * 2)
-    assert cat.cone_counts(S, S) == {
+    assert cone_counts(cat, S, S) == {
         DerivedObject.zero(): (q * q - 1) * (q * q - q),
         DerivedObject.of([(1, 2, 0), (1, 2, 1)]): (q + 1) * (q * q - 1),
         DerivedObject.of([(1, 2, 0)] * 2 + [(1, 2, 1)] * 2): 1,
@@ -413,10 +421,54 @@ def test_a_memo_is_shift_invariant(q):
     and its shift the memo sees first, on objects of dimension <= 3."""
     for Z in objects(3, 3):
         aut = DerivedCategory(3, FiniteField(q)).aut_count(Z)
-        braces = HallAlgebra(3, q).braces(Z, Z)
+        braces = hall_oracle.braces(DerivedCategory(3, FiniteField(q)), Z, Z)
         for k in range(-3, 4):
             for first, second in ((Z, Z.shifted(k)), (Z.shifted(k), Z)):
                 alg = HallAlgebra(3, q)
-                a = alg._a(first)
-                assert alg._a(second) == a == alg._a(first), (Z, k)
+                a = alg._a(hall_oracle.class_id(alg, first))
+                assert alg._a(hall_oracle.class_id(alg, second)) == a, (Z, k)
+                assert alg._a(hall_oracle.class_id(alg, first)) == a, (Z, k)
                 assert a[0] == aut and Fraction(q) ** a[1] == braces, (Z, k)
+
+
+def test_class_table_round_trips():
+    """The kernel names each class by an id: the table gives back its
+    summands and lowest shift, and ``_shift`` is the id of the translate,
+    undone by the opposite shift; for 0 and every object of dimension <= 3,
+    m <= 5."""
+    for m in range(2, 6):
+        alg = HallAlgebra(m, 2)
+        for Z in [DerivedObject.zero()] + objects(m, 3):
+            s = Z.summands
+            i = alg._id(s)
+            assert alg._summands[i] == s and alg._id(s) == i
+            assert alg._low[i] == (lowest_shift(Z) if s else None)
+            for k in range(-3, 4):
+                j = alg._shift(i, k)
+                assert j == alg._id(Z.shifted(k).summands), (Z, k)
+                assert alg._shift(j, -k) == i, (Z, k)
+
+
+@pytest.mark.parametrize("k", [-2, 3])
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 3)])
+def test_translated_product_is_shifted_back(q, m, k):
+    """[X[k]]*u_{Y[k]}, swept through the pair at lowest shift 0, equals the
+    shift-0 product of a separate algebra with every class shifted by k;
+    and in one algebra its terms are the ``_shift`` of the shift-0 terms."""
+    alg, base = HallAlgebra(m, q), HallAlgebra(m, q)
+    pairs = 0
+    for X, Y in itertools.product(objects(m, 2), repeat=2):
+        if lowest_shift(X, Y) != 0:
+            continue
+        x, y = hall_oracle.class_id(alg, X), hall_oracle.class_id(alg, Y)
+        d, terms = alg._basis_product(alg._shift(x, k), alg._shift(y, k))
+        e, base_terms = base._basis_product(hall_oracle.class_id(base, X),
+                                            hall_oracle.class_id(base, Y))
+        assert d == e
+        assert [(alg._summands[L], a, b) for L, a, b in terms] == \
+            [(DerivedObject(base._summands[L]).shifted(k).summands, a, b)
+             for L, a, b in base_terms], (X, Y)
+        assert terms == tuple((alg._shift(L, k), a, b)
+                              for L, a, b in alg._basis_product(x, y)[1])
+        pairs += 1
+    assert pairs > 50
