@@ -16,18 +16,29 @@ counts the morphisms X -> L with cone Y and enumerates End(X), is kept in
 ``tests/hall_oracle.py`` as a test oracle.  The twisted product rescales
 by the Euler pairing:  [X]*[Y] = q^{<Y,X>/2} [X].[Y].
 
-The sweep takes one cone per torus orbit of block-support patterns, not
-one per morphism (``DerivedCategory.cone_counts``).  Hom between two
-indecomposables of D^b(A_{m-1}) is at most one dimensional in each degree,
-so Hom(Y[-1], X) is a sum of one-dimensional blocks, one per pair of
-summands.  The cone of w is the direct sum of the untouched summands of X
-and Y and the cones of the connected components of its block support, and
-the diagonal torus of Aut Y x Aut X, which scales the blocks, preserves
-it.  A support with no cycle thus needs one (memoised) cone, whatever q is.
-The census over support patterns sees only the summands that carry a
-block, at lowest shift 0, so sweeps that differ by untouched summands or by
-a translation share it.  The per-morphism sweep is kept in
+Only a letter, an indecomposable X, is swept, with one cone per torus
+orbit of block-support patterns, not one per morphism
+(``DerivedCategory.cone_counts``).  Hom between two indecomposables of
+D^b(A_{m-1}) is at most one dimensional in each degree, so Hom(Y[-1], X)
+is a sum of one-dimensional blocks, one per summand of Y, and the support
+of w is a star onto X.  The cone of w is the sum of the untouched summands
+of Y and the cone of the star.  The diagonal torus of Aut Y x Aut X scales
+the blocks, preserves the cone and is transitive on the morphisms of one
+support, so each support needs one (memoised) cone, with every block 1,
+whatever q is.  The census over support patterns sees only the summands
+that carry a block, at lowest shift 0, so sweeps that differ by untouched
+summands or by a translation share it.  The per-morphism sweep is kept in
 ``tests/test_hall_oracle.py``.
+
+Any other left factor is a word in its summands (``_word_product``).  By
+the Riedtmann formula, [A]*[B] is the one term c [A + B] when
+Hom(B[-1], A) = 0 (Toen 2006), and D^b(A_{m-1}) is directed (Happel,
+Triangulated categories in the representation theory of finite
+dimensional algebras, 1988): with the summands X_1, ..., X_r of X sorted
+by (-n, a, b), Ext^1(X_j, X_i) = 0 for i < j.  So the word
+[X_1]*(...*([X_r]*u_0)) is c u_X, and
+
+    [X]*u_Y = [X_1]*(...*([X_r]*u_Y)) / (c a(X)).
 
 The shift [1] is a triangulated autoequivalence, so the structure
 constants, a(Z), {X,Y} and the Euler form are shift-invariant and
@@ -224,10 +235,10 @@ def _part(c: Tuple[int, int, int], x: Numerators):
 class HallAlgebra:
     """Computation context: fixed m and prime power q, with memo caches."""
 
-    def __init__(self, m: int, q: int, modulus=None):
+    def __init__(self, m: int, q: int):
         self.m = m
         self.q = q
-        self.field = FiniteField(q, modulus)
+        self.field = FiniteField(q)
         self.category = DerivedCategory(m, self.field)
         # the class table: id <-> summands, and each class's lowest summand
         # shift (None for 0)
@@ -298,17 +309,20 @@ class HallAlgebra:
         sum of (A + B sqrt(q))/d u_L in the order of the summands of L,
         reduced.
 
-        The product is shift-equivariant, so only the pair translated to
-        lowest summand shift 0 is swept; the result is shifted back and
-        also stored under the caller's key, so a repeated call returns the
-        same tuple.
+        Only a letter X is swept: the product is shift-equivariant, so the
+        pair translated to lowest summand shift 0 is swept, and the result
+        is shifted back and also stored under the caller's key, so a
+        repeated call returns the same tuple.  Any other X is a word in
+        its summands (``_word_product``).
         """
         key = (x, y)
         cached = self._product_cache.get(key)
         if cached is not None:
             return cached
         s = min((n for n in (self._low[x], self._low[y]) if n is not None), default=0)
-        if s == 0:
+        if len(self._summands[x]) != 1:
+            out = self._word_product(x, y)
+        elif s == 0:
             out = self._sweep(x, y)
         else:
             x, y = self._shift(x, -s), self._shift(y, -s)
@@ -320,6 +334,33 @@ class HallAlgebra:
             out = (d, tuple([(self._shift(L, s), a, b) for L, a, b in terms]))
         self._product_cache[key] = out
         return out
+
+    def _word_product(self, x: int, y: int) -> Numerators:
+        """[X]*u_Y for a class X that is 0 or has two or more summands.
+
+        With X_1, ..., X_r its summands sorted by (-n, a, b), Ext^1(X_j, X_i)
+        = 0 for i < j: by ``_pair_dims``, Ext^1(M[a,b)[n], M[c,d)[k]) != 0
+        only when k = n and a < c, or k = n - 1.  So Hom(X_j[-1], X_i) = 0
+        and, by the Riedtmann formula, each product of the word
+        [X_1]*(...*([X_r]*u_0)) has the one term of the direct sum: the
+        word is c u_X = c a(X) [X], with c of one half only, and
+        [X]*u_Y = [X_1]*(...*([X_r]*u_Y)) / (c a(X)).
+        """
+        q = self.q
+        acc, unit = (1, ((y, 1, 0),)), (1, ((self._id(()), 1, 0),))
+        # right to left: X_r is applied first
+        for s in sorted(self._summands[x], key=lambda s: (-s[2], s[0], s[1]), reverse=True):
+            z = self._id((s,))
+            acc, unit = self._left_mul(z, acc), self._left_mul(z, unit)
+        d, terms = unit
+        if len(terms) != 1 or terms[0][0] != x or (terms[0][1] and terms[0][2]):
+            raise ArithmeticError(f"the word of {self._summands[x]} is not one term")
+        _x, a, b = terms[0]
+        aut, e = self._a(x)
+        den = aut * q ** max(e, 0) * (a or b * q)  # 1/(b sqrt(q)) = sqrt(q)/(b q)
+        num = d * q ** max(-e, 0)
+        d, terms = self._combine(den, [(0, num, acc) if b else (num, 0, acc)])
+        return d, tuple(sorted(terms, key=lambda t: self._summands[t[0]]))
 
     def _sweep(self, x: int, y: int) -> Numerators:
         """[X]*u_Y with u_Y = a(Y)[Y], in the u basis: a(Y) and a(L) cancel

@@ -23,13 +23,19 @@ Everything is computed honestly over F_q:
   whose degree is 0, each spanned by a basis chain map written down
   directly; ``enumerate_dhoms`` lists their F_q-combinations.
 * ``cone_counts`` -- N_L = #{w : X -> Y with cone L}, on summand tuples,
-  from one cone per torus orbit of block-support patterns: Hom between
-  indecomposables is at most one dimensional in each degree, cones split
-  over the connected components of the support, and the torus of
-  Aut X x Aut Y preserves them.
-  A summand in no block passes into every cone unchanged, so the census
-  runs on the touched summands only; it and each component's cone are
-  memoised modulo the shift functor.
+  when at most one summand y of Y carries a Hom block, as in every sweep
+  of the Hall kernel, whose left factor is a letter.  Hom between
+  indecomposables is at most one dimensional in each degree, so the block
+  support of w is a star of summands of X onto y; its cone is the sum of
+  the untouched summands and the cone of the star with every block 1, as
+  the torus of Aut X x Aut Y is transitive on the (q-1)^|S| morphisms of
+  a support S.  A summand in no block passes into every cone unchanged,
+  so the census runs on the touched summands only; it and each star's cone
+  are memoised modulo the shift functor.  A decomposable left factor
+  never reaches the census: the Hall kernel writes it as an Ext-free word
+  of its summands, by the derived Riedtmann formula (Toen 2006) in the
+  directed category D^b(A_{m-1}) (Happel 1988).  Other supports are
+  counted in tests/ by the per-morphism sweep.
 
 ``identify`` names a complex of projectives up to isomorphism.  The
 category is hereditary, so the complex is the sum of the H^d[-d], and the
@@ -60,17 +66,6 @@ from .scalar import prime_power_decompose
 # finite fields
 # ---------------------------------------------------------------------------
 
-#: default irreducible moduli (coefficient tuples, low degree first, monic);
-#: any other q uses the first irreducible modulus found by search
-_DEFAULT_MODULI = {
-    4: (1, 1, 1),        # x^2 + x + 1 over F_2
-    8: (1, 1, 0, 1),     # x^3 + x + 1 over F_2
-    9: (1, 0, 1),        # x^2 + 1 over F_3
-    25: (3, 0, 1),       # x^2 + 3 over F_5
-    27: (1, 2, 0, 1),    # x^3 + 2x + 1 over F_3
-}
-
-
 class _Lazy(dict):
     """A lookup table whose entry for ``x`` is ``fn(x)``, computed on first use."""
 
@@ -88,7 +83,8 @@ class FiniteField:
 
     For k > 1 an element encodes a polynomial over F_p in base-p digits,
     multiplied modulo an irreducible ``modulus`` (coefficient tuple, low
-    degree first, leading coefficient 1).
+    degree first, leading coefficient 1); without one, the first that
+    ``_first_irreducible`` finds.
 
     Arithmetic is by lookup: ``add_t[x][y] = x + y``, ``mul_t[x][y] = x y``,
     ``neg_t[x]`` and ``inv_t[x]``.  Kernels fetch the row of a fixed factor
@@ -113,7 +109,7 @@ class FiniteField:
                 raise ValueError("modulus is reducible")
             self.modulus = modulus
         else:
-            self.modulus = _DEFAULT_MODULI.get(q) or self._first_irreducible()
+            self.modulus = self._first_irreducible()
         self.add_t = _Lazy(lambda x: _Lazy(functools.partial(self._add, x)))
         self.mul_t = _Lazy(lambda x: _Lazy(functools.partial(self._mul, x)))
         self.neg_t = _Lazy(lambda x: self._undigits([-a for a in self._digits(x)]))
@@ -376,33 +372,6 @@ def _object_complex(m: int, X: DerivedObject) -> _PComplex:
     return _PComplex(m, labels, diff)
 
 
-def _components(edges: List[Tuple[int, int]]):
-    """Connected components of the bipartite graph with edges (i, j)
-    between source vertices (0, i) and target vertices (1, j), as
-    (sorted sources, sorted targets, edges), and the edges that close a
-    cycle over the spanning forest grown in edge order."""
-    parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
-
-    def find(v):
-        while parent.setdefault(v, v) != v:
-            v = parent[v]
-        return v
-
-    cycle = []
-    for i, j in edges:
-        ru, rv = find((0, i)), find((1, j))
-        if ru == rv:
-            cycle.append((i, j))
-        else:
-            parent[ru] = rv
-    comps: Dict[Tuple[int, int], Tuple[list, list, list]] = {}
-    for side, i in parent:
-        comps.setdefault(find((side, i)), ([], [], []))[side].append(i)
-    for i, j in edges:
-        comps[find((0, i))][2].append((i, j))
-    return [(sorted(src), sorted(dst), e) for src, dst, e in comps.values()], cycle
-
-
 class DMorphism:
     """A degree-0 chain map between the projective complexes of X and Y."""
 
@@ -475,7 +444,8 @@ class DerivedCategory:
 
     def cone_counts(self, xs, ys) -> Dict[Tuple, int]:
         """N_L = #{w in Hom(X, Y) : cone(w) = L} for every cone class L, with
-        X, Y and L given by their summands (sorted).
+        X, Y and L given by their summands (sorted), where at most one
+        summand of Y carries a Hom block; ``ValueError`` otherwise.
 
         Hom between two indecomposables is at most one dimensional in each
         degree, so Hom(X, Y) is a sum of one-dimensional blocks, one per
@@ -487,10 +457,12 @@ class DerivedCategory:
         """
         edges = self._hom_blocks(xs, ys)
         hit_x, hit_y = {i for i, _j in edges}, {j for _i, j in edges}
+        if len(hit_y) > 1:
+            raise ValueError("more than one target summand carries a Hom block")
         rest = [(a, b, n + 1) for i, (a, b, n) in enumerate(xs) if i not in hit_x]
         rest += [s for j, s in enumerate(ys) if j not in hit_y]
         tx = [xs[i] for i in sorted(hit_x)]
-        ty = [ys[j] for j in sorted(hit_y)]
+        ty = [ys[j] for j in hit_y]
         s = min((n for (_a, _b, n) in tx + ty), default=0)
         key = (tuple([(a, b, n - s) for (a, b, n) in tx]),
                tuple([(a, b, n - s) for (a, b, n) in ty]))
@@ -502,54 +474,38 @@ class DerivedCategory:
 
     def _census(self, xs, ys) -> Dict[Tuple, int]:
         """Cone summands (sorted) -> number of morphisms from the summands
-        ``xs`` to the summands ``ys`` with that cone.
+        ``xs`` to ``ys``, which is empty or one summand y with a Hom block
+        from every summand of ``xs``.
 
-        A morphism with block support S has cone
-
-            (X_i[1] for untouched i) + (Y_j for untouched j)
-            + (the cone of each connected component of S),
-
-        S read as a bipartite graph on the summands.  The torus
-        (F_q^x)^{#X} x (F_q^x)^{#Y} of Aut X x Aut Y scales block (i, j)
-        by mu_j / lambda_i and preserves the cone.  Its orbits on the
-        morphisms with support S are represented by setting the edges of a
-        spanning forest to 1 and each other edge to any unit, and each
-        representative stands for (q-1)^(|S| - #cycles) morphisms.  So a
-        forest support needs one cone, whatever q is.
+        The block support of a morphism is a set S of sources, a star onto
+        y, and its cone is (X_i[1] for i not in S) + (the cone of S -> y
+        with every block 1), or all of X[1] + y for S empty.  The torus
+        (F_q^x)^{#X} x F_q^x of Aut X x Aut y scales block i by
+        mu / lambda_i and preserves the cone, and it is transitive on the
+        (q-1)^|S| morphisms with support S, so each S needs one cone,
+        whatever q is.
         """
-        edges = self._hom_blocks(xs, ys)
         q = self.field.q
         counts: Dict[Tuple, int] = {}
-        for mask in range(1 << len(edges)):
-            support = [e for t, e in enumerate(edges) if mask >> t & 1]
-            comps, cycle = _components(support)
-            hit_x, hit_y = {i for i, _j in support}, {j for _i, j in support}
-            rest = [(a, b, n + 1) for i, (a, b, n) in enumerate(xs) if i not in hit_x]
-            rest += [s for j, s in enumerate(ys) if j not in hit_y]
-            weight = (q - 1) ** (len(support) - len(cycle))
-            for units in itertools.product(range(1, q), repeat=len(cycle)):
-                value = dict(zip(cycle, units))
-                summands = list(rest)
-                for src, dst, comp_edges in comps:
-                    local = tuple(sorted((src.index(i), dst.index(j), value.get((i, j), 1))
-                                         for i, j in comp_edges))
-                    summands += self._component_cone(
-                        [xs[i] for i in src], [ys[j] for j in dst], local)
-                L = tuple(sorted(summands))
-                counts[L] = counts.get(L, 0) + weight
+        for mask in range(1 << len(xs)):
+            S = tuple([s for t, s in enumerate(xs) if mask >> t & 1])
+            summands = [(a, b, n + 1) for t, (a, b, n) in enumerate(xs) if not mask >> t & 1]
+            summands += self._component_cone(S, ys) if S else ys
+            L = tuple(sorted(summands))
+            counts[L] = counts.get(L, 0) + (q - 1) ** len(S)
         return counts
 
-    def _component_cone(self, xs, ys, edges) -> List[Tuple[int, int, int]]:
-        """Summands of the cone of the map from the summands ``xs`` to the
-        summands ``ys`` that is ``value`` times the basis map of the block
-        (xs[i], ys[j]) for each (i, j, value) in ``edges``.  Memoised modulo
-        the shift functor."""
+    def _component_cone(self, xs, ys) -> List[Tuple[int, int, int]]:
+        """Summands of the cone of the map from the summands ``xs`` to the one
+        summand ``ys`` that is the sum of the basis maps of the blocks.
+        Memoised modulo the shift functor."""
         s = min(n for (_a, _b, n) in xs + ys)
         key = (tuple([(a, b, n - s) for (a, b, n) in xs]),
-               tuple([(a, b, n - s) for (a, b, n) in ys]), edges)
+               tuple([(a, b, n - s) for (a, b, n) in ys]))
         cone = self._cone_cache.get(key)
         if cone is None:
             X, Y = DerivedObject(key[0]), DerivedObject(key[1])
+            edges = [(i, 0, 1) for i in range(len(xs))]
             cone = self._cone_cache[key] = self.cone(self._block_morphism(X, Y, edges))
         return [(a, b, n + s) for (a, b, n) in cone.summands]
 

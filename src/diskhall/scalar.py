@@ -389,13 +389,7 @@ class QuadraticScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # most operands are rational or rational multiples of sqrt(q):
-        # skip the zero halves
         a, b, c, d = self.a, self.b, other.a, other.b
-        if not b:
-            return self._make(a * c, a * d if d else _ZERO)
-        if not d:
-            return self._make(a * c, b * c)
         return self._make(a * c + b * d * self.q, a * d + b * c)
 
     __rmul__ = __mul__

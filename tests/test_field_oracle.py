@@ -1,7 +1,7 @@
 """Lookup-table field arithmetic against the per-operation oracle.
 
 Every entry of add/sub/neg/mul/inv is compared with ``field_oracle`` for
-small fields, including F_16 and F_32 whose moduli are found by search, and
+small fields, whose moduli are all found by search, and
 sampled entries for large ones, whose tables must hold only what was looked
 up.  The table-driven ``rref`` is compared with the oracle's
 one-call-per-entry version on seeded random matrices.
@@ -12,15 +12,19 @@ import random
 import pytest
 
 import field_oracle
-from diskhall import repq
 from diskhall.repq import FiniteField, rref
+
+
+#: the moduli the search finds (coefficients, low degree first); a prime
+#: field has none
+SEARCHED_MODULI = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1),
+                   25: (2, 0, 1), 27: (1, 2, 0, 1), 32: (1, 0, 1, 0, 0, 1)}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
 def test_every_entry_matches_oracle(q):
     F = FiniteField(q)
-    if q in (16, 32):
-        assert q not in repq._DEFAULT_MODULI  # the modulus comes from the search
+    assert F.modulus == SEARCHED_MODULI.get(q)
     O = field_oracle.oracle_of(F)
     els = list(F.elements())
     for x in els:

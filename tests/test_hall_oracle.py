@@ -14,7 +14,10 @@ graded Hom dims summed from it, and the maps ``enumerate_dhoms`` lists,
 against the Hom complex of the whole objects.  ``identify``, which
 reads each homology map's rank off submatrices of a cone's differentials,
 is checked against the homology representations it replaced, on seeded
-random chain maps and on every component cone of the cyclic supports.
+random chain maps and on every star cone of the products with cyclic
+supports.  A left factor with other than one summand is a word of its
+letters: every sweep is checked to take a letter, the census to refuse two
+touched targets, and the order of the word against the Hom complex.
 """
 
 import functools
@@ -26,7 +29,7 @@ from fractions import Fraction
 import pytest
 
 import hall_oracle
-from diskhall.hall import HallAlgebra
+from diskhall.hall import HallAlgebra, HallElement
 from diskhall.repq import DMorphism, DerivedCategory, DerivedObject, FiniteField, zeros
 from diskhall.scalar import QuadraticScalar
 from field_oracle import nullspace, rref
@@ -93,11 +96,23 @@ def cone_counts(cat, X, Y):
     return {DerivedObject(L): n for L, n in cat.cone_counts(X.summands, Y.summands).items()}
 
 
+def product_from_counts(alg, X, Y, counts):
+    """[X]*[Y] as a dict L -> QuadraticScalar in the order of the summands
+    of L, from the counts N_L by the Riedtmann formula and the twist
+    q^{<Y,X>/2} read off the Hom complex."""
+    q = alg.q
+    euler = sum((-1) ** (k % 2) * d for k, d in full_complex_dims(alg.category, Y, X).items())
+    twist = QuadraticScalar.sqrt_q_power(q, euler)
+    return {L: twist * QuadraticScalar(q, alg.structure_constant(X, Y, L, n))
+            for L, n in sorted(counts.items(), key=lambda kv: kv[0].summands)}
+
+
 def check_products(q, m, shift):
     """Every constant of [X][Y], for X, Y translated by a common shift from
     lowest summand shift 0, against the two-sweep oracle run on the
-    translated objects themselves; and the support-pattern counts N_L
-    against the morphism sweep."""
+    translated objects themselves; and, for a one-summand X (the only left
+    factor the kernel sweeps), the support-pattern counts N_L against the
+    morphism sweep."""
     alg = HallAlgebra(m, q)
     cat = alg.category
     objs = objects(m, 2)
@@ -108,7 +123,8 @@ def check_products(q, m, shift):
             continue
         X, Y = X0.shifted(shift), Y0.shifted(shift)
         counts = morphism_sweep(cat, Y.shifted(-1), X)
-        assert cone_counts(cat, Y.shifted(-1), X) == counts, (X, Y)
+        if len(X.summands) == 1:
+            assert cone_counts(cat, Y.shifted(-1), X) == counts, (X, Y)
         d, terms = alg._basis_product(hall_oracle.class_id(alg, X), hall_oracle.class_id(alg, Y))
         assert d > 0 and math.gcd(d, *(v for _L, a, b in terms for v in (a, b))) == 1
         product = hall_oracle.basis_product(alg, X, Y)
@@ -151,24 +167,25 @@ def test_translated_products_match_two_sweep_oracle(q, m, shift):
 @pytest.mark.parametrize("q", [4, 5])
 def test_cone_counts_match_morphism_sweep(q):
     """N_L counted over torus orbits of block-support patterns equals N_L
-    counted one morphism at a time, for dim X + dim Y <= 3, m = 2..4 and
-    summand shifts -1..2 (so components are memoised at several shifts)."""
+    counted one morphism at a time, for one-summand X, dim X + dim Y <= 3,
+    m = 2..4 and summand shifts -1..2 (so star cones are memoised at
+    several shifts)."""
     pairs = 0
     for m in (2, 3, 4):
         cat = DerivedCategory(m, FiniteField(q))
         objs = objects(m, 2, shifts=range(-1, 3))
         for X, Y in itertools.product(objs, repeat=2):
-            if dimension(X) + dimension(Y) > 3:
+            if len(X.summands) != 1 or dimension(X) + dimension(Y) > 3:
                 continue
             expected = morphism_sweep(cat, Y.shifted(-1), X)
             assert cone_counts(cat, Y.shifted(-1), X) == expected, (X, Y)
             pairs += 1
-    assert pairs > 2000
+    assert pairs >= 1744
 
 
 #: products [X][Y] whose support graph on Hom(Y[-1], X) is a complete
-#: bipartite graph with a cycle, so the sweep needs unit values on
-#: non-tree edges: (m, X, Y, the q to sweep)
+#: bipartite graph with a cycle, which the kernel reaches only as a word
+#: of star sweeps: (m, X, Y, the q to sweep)
 CYCLIC = [
     (2, [(1, 2, 0)] * 2, [(1, 2, 1)] * 2, (2, 3, 4, 5)),              # (S1+S1)(S1[1]+S1[1])
     (3, [(1, 2, 0), (1, 3, 0)], [(1, 3, 1)] * 2, (2, 3, 4, 5)),       # (S1+P1)(P1[1]+P1[1])
@@ -234,9 +251,10 @@ def test_rank_identify_matches_homology_route(monkeypatch):
 @pytest.mark.parametrize("m, xs, ys, q", [
     (m, xs, ys, q) for (m, xs, ys, qs) in CYCLIC for q in qs])
 def test_cyclic_supports(m, xs, ys, q, monkeypatch):
-    """Pattern counts on cyclic supports against the morphism sweep, every
-    component cone they identify against the homology route, and at q <= 3
-    the structure constants against the two-sweep oracle."""
+    """Products with a cyclic support, which the kernel computes as a word
+    in the summands of X: the terms against N_L from the morphism sweep,
+    every cone the kernel identifies against the homology route, and at
+    q <= 3 the structure constants against the two-sweep oracle."""
     alg = HallAlgebra(m, q)
     cat = alg.category
     X, Y = DerivedObject.of(xs), DerivedObject.of(ys)
@@ -244,11 +262,13 @@ def test_cyclic_supports(m, xs, ys, q, monkeypatch):
     dim = cat.dhom_dims(Y1, X).get(0, 0)
     assert dim == len(xs) * len(ys)
     components = checked_identify(cat, monkeypatch)
-    counts = cone_counts(cat, Y1, X)
+    product = hall_oracle.basis_product(alg, X, Y)
     monkeypatch.undo()
     assert len(components) == len(cat._cone_cache) > 0
-    assert counts == morphism_sweep(cat, Y1, X)
+    counts = morphism_sweep(cat, Y1, X)
     assert sum(counts.values()) == q ** dim
+    expected = product_from_counts(alg, X, Y, counts)
+    assert list(product.items()) == list(expected.items())
     if q <= 3:
         for L, n in counts.items():
             assert alg.structure_constant(X, Y, L, n) == \
@@ -280,14 +300,88 @@ def test_census_memo_is_shift_invariant(q):
 def test_square_matrix_support_counts_ranks(q):
     """Hom(S1 + S1, S1 + S1) is M_2(F_q), and the cone of w depends on its
     rank: 0 for |GL_2(F_q)| matrices, S1 + S1[1] for the (q+1)(q^2-1) of
-    rank 1, and S1 + S1 + S1[1] + S1[1] for w = 0."""
-    cat = DerivedCategory(2, FiniteField(q))
+    rank 1, and S1 + S1 + S1[1] + S1[1] for w = 0.  These are the counts
+    of the morphism sweep, and the terms of [S1 + S1]*[S1[1] + S1[1]],
+    whose sweep is Hom(S1 + S1, S1 + S1)."""
+    alg = HallAlgebra(2, q)
     S = DerivedObject.of([(1, 2, 0)] * 2)
-    assert cone_counts(cat, S, S) == {
+    counts = {
         DerivedObject.zero(): (q * q - 1) * (q * q - q),
         DerivedObject.of([(1, 2, 0), (1, 2, 1)]): (q + 1) * (q * q - 1),
         DerivedObject.of([(1, 2, 0)] * 2 + [(1, 2, 1)] * 2): 1,
     }
+    assert morphism_sweep(alg.category, S, S) == counts
+    product = hall_oracle.basis_product(alg, S, S.shifted(1))
+    assert product == product_from_counts(alg, S, S.shifted(1), counts)
+
+
+def letters_only(monkeypatch):
+    """Make every ``HallAlgebra._sweep`` assert that its left factor has one
+    summand; returns the list of the swept left factors."""
+    sweep, seen = HallAlgebra._sweep, []
+
+    def checked(self, x, y):
+        assert len(self._summands[x]) == 1, self._summands[x]
+        seen.append(self._summands[x])
+        return sweep(self, x, y)
+
+    monkeypatch.setattr(HallAlgebra, "_sweep", checked)
+    return seen
+
+
+def test_every_sweep_has_a_letter_on_the_left(monkeypatch):
+    """A left factor with two summands, or a product of sums of such
+    classes, reaches ``_sweep`` only through its letters: in
+    ``check_products`` at q = 2, m = 3, and in (x y) z = x (y z) on
+    seeded sums of two-summand classes at q = 3, m = 3."""
+    seen = letters_only(monkeypatch)
+    check_products(2, 3, 0)
+    assert seen
+    rng = random.Random(5)
+    alg = HallAlgebra(3, 3)
+    pairs = [X for X in objects(3, 2, shifts=range(-1, 2)) if len(X.summands) == 2]
+
+    def element():
+        return sum((HallElement.basis(3, X, rng.randint(1, 3)) for X in rng.sample(pairs, 2)),
+                   HallElement.zero(3))
+
+    for _ in range(8):
+        x, y, z = element(), element(), element()
+        left = alg.hall_product(alg.hall_product(x, y), z)
+        assert not left.is_zero()
+        assert left == alg.hall_product(x, alg.hall_product(y, z)), (x, y, z)
+
+
+def test_census_refuses_two_touched_targets():
+    """``cone_counts`` counts stars onto one target summand: two sources
+    onto S1 match the morphism sweep, and two touched targets raise."""
+    cat = DerivedCategory(2, FiniteField(3))
+    S, SS = DerivedObject.simple(1), DerivedObject.of([(1, 2, 0)] * 2)
+    assert cone_counts(cat, SS, S) == morphism_sweep(cat, SS, S) == {
+        DerivedObject.of([(1, 2, 0), (1, 2, 1), (1, 2, 1)]): 1,
+        DerivedObject.simple(1, 1): 3 * 3 - 1,
+    }
+    for X in (S, SS):
+        with pytest.raises(ValueError):
+            cat.cone_counts(X.summands, SS.summands)
+
+
+def test_word_order_has_no_ext_backwards():
+    """The order of ``_word_product``: if Ext^1(A, B) != 0 then A sorts
+    before B under (-n, a, b), so in the sorted word no later summand has
+    Ext^1 into an earlier one.  Checked on the Hom complex, for A at shift
+    0 (both Ext^1 and the order are invariant under a common shift), every
+    pair of intervals for m <= 6 and relative shifts -2..2."""
+    exts = 0
+    for m in range(2, 7):
+        cat = DerivedCategory(m, FiniteField(2))
+        intervals = [(a, b) for a in range(1, m) for b in range(a + 1, m + 1)]
+        for (a, b), (c, d) in itertools.product(intervals, repeat=2):
+            for r in range(-2, 3):
+                if hall_oracle.pair_dims(cat, a, b, c, d, r).get(1):
+                    assert (0, a, b) < (-r, c, d), (m, a, b, c, d, r)
+                    exts += 1
+    assert exts == 182
 
 
 def test_hom_between_indecomposables_is_at_most_one_dimensional():
