@@ -49,15 +49,16 @@ The kernel works in the basis u_Z = a(Z)[Z], where a(Y) and a(L) cancel:
 
     [X].u_Y = sum_L N_L / (a(X) |Hom(Y,X)| {Y,X}) u_L,
 
-so a sweep reads a(X) of its left factor, a letter of a word, memoised
-modulo the shift as (|Aut Z|, e), meaning |Aut Z| q^e, and one
-``dhom_dims(Y, X)``, which gives dim Hom(Y,X), {Y,X} and <Y,X>.  Every u_L
-of a sweep has the same constant times N_L, n q^t / d in ints; the twist's
-sqrt(q) goes to the B half, or into A when q is a square; one gcd reduces
-the result.  With no Hom block, the sweep's one morphism is w = 0, with
-cone X + Y.  A term meets a(L) only where a HallElement is built
-(``_element``), ``hall_product`` divides the coefficients of y by a(Y) on
-entry, and the walk starts from [0] = u_0.  ``structure_constant`` gives
+so a sweep needs a(X) of its left factor, a letter of a word, and one
+``dhom_dims(Y, X)``, which gives dim Hom(Y,X), {Y,X} and <Y,X>.  End X is
+F_q and X has no negative-degree self-Hom, so a(X) = q - 1 in closed form;
+a(Z) of other classes is memoised modulo the shift as (|Aut Z|, e),
+meaning |Aut Z| q^e.  Every u_L of a sweep has the same constant times
+N_L, n q^t / d in ints; the twist's sqrt(q) goes to the B half, or into A
+when q is a square; one gcd reduces the result.  With no Hom block, the
+sweep's one morphism is w = 0, with cone X + Y.  A term meets a(L) only
+where a HallElement is built (``_element``), ``hall_product`` divides the
+coefficients of y by a(Y) on entry, and the walk starts from [0] = u_0.  ``structure_constant`` gives
 one F^L_{X,Y} as a Fraction.
 
 Free-algebra expressions are evaluated here by sending each generator
@@ -363,19 +364,19 @@ class HallAlgebra:
         return d, tuple(sorted(terms, key=lambda t: self._summands[t[0]]))
 
     def _sweep(self, x: int, y: int) -> Numerators:
-        """[X]*u_Y with u_Y = a(Y)[Y], in the u basis: a(Y) and a(L) cancel
-        from the Riedtmann formula, so every u_L has the constant
-        N_L q^{<Y,X>/2} / (a(X) |Hom(Y,X)| {Y,X})."""
+        """[X]*u_Y for a letter X, with u_Y = a(Y)[Y], in the u basis: a(Y)
+        and a(L) cancel from the Riedtmann formula, so every u_L has the
+        constant N_L q^{<Y,X>/2} / (a(X) |Hom(Y,X)| {Y,X}), and
+        a(X) = q - 1 (End X = F_q, and X has no negative-degree self-Hom)."""
         q = self.q
-        xs, ys = self._summands[x], self._summands[y]
+        (letter,), ys = self._summands[x], self._summands[y]
         # N_L: how many w in Hom(Y[-1], X) complete to Y[-1] -> X -> L
-        counts = self.category.cone_counts(tuple([(a, b, n - 1) for (a, b, n) in ys]), xs)
-        ax, ex = self._a(x)
+        counts = self.category.cone_counts(tuple([(a, b, n - 1) for (a, b, n) in ys]), letter)
         dims = self.category.dhom_dims(self._object(y), self._object(x))
         # the twist q^{<Y,X>/2} = q^half sqrt(q)^odd
         half, odd = divmod(sum((-1) ** (k % 2) * n for k, n in dims.items()), 2)
-        t = half - ex - dims.get(0, 0) - _brace_exponent(dims)
-        d, scale = ax * q ** max(0, -t), q ** max(0, t)
+        t = half - dims.get(0, 0) - _brace_exponent(dims)
+        d, scale = (q - 1) * q ** max(0, -t), q ** max(0, t)
         root = math.isqrt(q)
         if odd and root * root == q:  # sqrt(q) is an integer: fold it into A
             scale, odd = scale * root, 0

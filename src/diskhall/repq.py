@@ -22,20 +22,20 @@ Everything is computed honestly over F_q:
   Degree-0 Hom is the sum of one-dimensional blocks, one per summand pair
   whose degree is 0, each spanned by a basis chain map written down
   directly; ``enumerate_dhoms`` lists their F_q-combinations.
-* ``cone_counts`` -- N_L = #{w : X -> Y with cone L}, on summand tuples,
-  when at most one summand y of Y carries a Hom block, as in every sweep
-  of the Hall kernel, whose left factor is a letter.  Hom between
-  indecomposables is at most one dimensional in each degree, so the block
-  support of w is a star of summands of X onto y; its cone is the sum of
-  the untouched summands and the cone of the star with every block 1, as
-  the torus of Aut X x Aut Y is transitive on the (q-1)^|S| morphisms of
-  a support S.  A summand in no block passes into every cone unchanged,
-  so the census runs on the touched summands only; it and each star's cone
-  are memoised modulo the shift functor.  A decomposable left factor
-  never reaches the census: the Hall kernel writes it as an Ext-free word
-  of its summands, by the derived Riedtmann formula (Toen 2006) in the
-  directed category D^b(A_{m-1}) (Happel 1988).  Other supports are
-  counted in tests/ by the per-morphism sweep.
+* ``cone_counts`` -- N_L = #{w : X -> y with cone L}, on summand tuples,
+  onto one summand y, as in every sweep of the Hall kernel, whose left
+  factor is a letter.  Hom between indecomposables is at most one
+  dimensional in each degree, so the block support of w is a star of
+  summands of X onto y; its cone is the sum of the untouched summands and
+  the cone of the star with every block 1, as the torus of Aut X x Aut y
+  is transitive on the (q-1)^|S| morphisms of a support S.  A summand in
+  no block passes into every cone unchanged, so the census runs on the
+  touched summands and y only; it and each star's cone are memoised
+  modulo the shift functor.  A decomposable left factor never reaches the
+  census: the Hall kernel writes it as an Ext-free word of its summands,
+  by the derived Riedtmann formula (Toen 2006) in the directed category
+  D^b(A_{m-1}) (Happel 1988).  Other supports are counted in tests/ by
+  the per-morphism sweep.
 
 ``identify`` names a complex of projectives up to isomorphism.  The
 category is hereditary, so the complex is the sum of the H^d[-d], and the
@@ -82,9 +82,8 @@ class FiniteField:
     """F_q with q = p^k.  Elements are integers 0..q-1.
 
     For k > 1 an element encodes a polynomial over F_p in base-p digits,
-    multiplied modulo an irreducible ``modulus`` (coefficient tuple, low
-    degree first, leading coefficient 1); without one, the first that
-    ``_first_irreducible`` finds.
+    multiplied modulo the irreducible ``modulus`` (coefficient tuple, low
+    degree first, leading coefficient 1) that ``_first_irreducible`` finds.
 
     Arithmetic is by lookup: ``add_t[x][y] = x + y``, ``mul_t[x][y] = x y``,
     ``neg_t[x]`` and ``inv_t[x]``.  Kernels fetch the row of a fixed factor
@@ -93,23 +92,13 @@ class FiniteField:
     new scalar, and whole rows of q entries would cost O(q^2).
     """
 
-    def __init__(self, q: int, modulus: Optional[Tuple[int, ...]] = None):
+    def __init__(self, q: int):
         pk = prime_power_decompose(q)
         if pk is None:
             raise ValueError(f"{q} is not a prime power")
         self.q = q
         self.p, self.k = pk
-        if self.k == 1:
-            self.modulus = None
-        elif modulus:  # only a caller's modulus needs the check
-            modulus = tuple(c % self.p for c in modulus)
-            if len(modulus) != self.k + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if not self._modulus_irreducible(modulus):
-                raise ValueError("modulus is reducible")
-            self.modulus = modulus
-        else:
-            self.modulus = self._first_irreducible()
+        self.modulus = None if self.k == 1 else self._first_irreducible()
         self.add_t = _Lazy(lambda x: _Lazy(functools.partial(self._add, x)))
         self.mul_t = _Lazy(lambda x: _Lazy(functools.partial(self._mul, x)))
         self.neg_t = _Lazy(lambda x: self._undigits([-a for a in self._digits(x)]))
@@ -391,8 +380,10 @@ class DerivedCategory:
             raise ValueError("need m >= 2")
         self.m = m
         self.field = field
-        self._cone_cache: Dict[Tuple, DerivedObject] = {}
-        # touched summands of X and Y at lowest shift 0 -> their ``_census``
+        # a star's sources and target at lowest shift 0 -> its cone's summands
+        self._cone_cache: Dict[Tuple, Tuple] = {}
+        # touched summands of X and the target y at lowest shift 0 -> their
+        # ``_census``
         self._census_cache: Dict[Tuple, Dict[Tuple, int]] = {}
 
     def complex_of(self, X: DerivedObject) -> _PComplex:
@@ -425,57 +416,47 @@ class DerivedCategory:
             return 1 - r
         return None
 
-    def _hom_blocks(self, xs, ys) -> List[Tuple[int, int]]:
-        """The pairs (i, j) of summands xs[i], ys[j] with Hom(xs[i], ys[j])
-        != 0 in degree 0; each such block is one dimensional, spanned by
-        its basis map."""
-        return [(i, j) for i, (a, b, n) in enumerate(xs)
-                for j, (c, d, k) in enumerate(ys)
-                if self._pair_dims(a, b, c, d, k - n) == 0]
-
     def enumerate_dhoms(self, X: DerivedObject, Y: DerivedObject) -> List[DMorphism]:
         """All homotopy classes of degree-0 maps X -> Y, one representative
-        each: the F_q-combinations of the basis maps of the blocks."""
-        blocks = self._hom_blocks(X.summands, Y.summands)
+        each: the F_q-combinations of the basis maps of the blocks, one per
+        summand pair with Hom(X_i, Y_j) != 0 in degree 0."""
+        blocks = [(i, j) for i, (a, b, n) in enumerate(X.summands)
+                  for j, (c, d, k) in enumerate(Y.summands)
+                  if self._pair_dims(a, b, c, d, k - n) == 0]
         return [self._block_morphism(X, Y, [(i, j, v) for (i, j), v in zip(blocks, values) if v])
                 for values in itertools.product(self.field.elements(), repeat=len(blocks))]
 
     # -- cone counts over torus orbits of support patterns -------------------
 
-    def cone_counts(self, xs, ys) -> Dict[Tuple, int]:
-        """N_L = #{w in Hom(X, Y) : cone(w) = L} for every cone class L, with
-        X, Y and L given by their summands (sorted), where at most one
-        summand of Y carries a Hom block; ``ValueError`` otherwise.
+    def cone_counts(self, xs, y) -> Dict[Tuple, int]:
+        """N_L = #{w in Hom(X, y) : cone(w) = L} for every cone class L, with
+        X and L given by their summands (sorted) and y one summand.
 
         Hom between two indecomposables is at most one dimensional in each
-        degree, so Hom(X, Y) is a sum of one-dimensional blocks, one per
-        summand pair (i, j) with Hom(X_i, Y_j) != 0.  A summand in no block
-        passes into every cone unchanged, X_i as X_i[1] and Y_j as Y_j;
-        the cones of the touched summands alone are counted by
-        ``_census``, memoised modulo the shift functor, and merged with
-        the untouched ones.
+        degree, so Hom(X, y) is a sum of one-dimensional blocks, one per
+        summand X_i with Hom(X_i, y) != 0.  A summand in no block passes
+        into every cone unchanged, as X_i[1]; the cones of the touched
+        summands and y are counted by ``_census``, memoised modulo the
+        shift functor, and merged with the untouched ones.
         """
-        edges = self._hom_blocks(xs, ys)
-        hit_x, hit_y = {i for i, _j in edges}, {j for _i, j in edges}
-        if len(hit_y) > 1:
-            raise ValueError("more than one target summand carries a Hom block")
-        rest = [(a, b, n + 1) for i, (a, b, n) in enumerate(xs) if i not in hit_x]
-        rest += [s for j, s in enumerate(ys) if j not in hit_y]
-        tx = [xs[i] for i in sorted(hit_x)]
-        ty = [ys[j] for j in hit_y]
-        s = min((n for (_a, _b, n) in tx + ty), default=0)
-        key = (tuple([(a, b, n - s) for (a, b, n) in tx]),
-               tuple([(a, b, n - s) for (a, b, n) in ty]))
+        c, d, k = y
+        touched, rest = [], []
+        for (a, b, n) in xs:
+            if self._pair_dims(a, b, c, d, k - n) == 0:
+                touched.append((a, b, n))
+            else:
+                rest.append((a, b, n + 1))
+        s = min([k] + [n for (_a, _b, n) in touched])
+        key = (tuple([(a, b, n - s) for (a, b, n) in touched]), (c, d, k - s))
         census = self._census_cache.get(key)
         if census is None:
             census = self._census_cache[key] = self._census(*key)
         return {tuple(sorted(rest + [(a, b, n + s) for (a, b, n) in cone])): count
                 for cone, count in census.items()}
 
-    def _census(self, xs, ys) -> Dict[Tuple, int]:
+    def _census(self, xs, y) -> Dict[Tuple, int]:
         """Cone summands (sorted) -> number of morphisms from the summands
-        ``xs`` to ``ys``, which is empty or one summand y with a Hom block
-        from every summand of ``xs``.
+        ``xs`` to the one summand ``y``, each of which has a Hom block to y.
 
         The block support of a morphism is a set S of sources, a star onto
         y, and its cone is (X_i[1] for i not in S) + (the cone of S -> y
@@ -483,31 +464,28 @@ class DerivedCategory:
         (F_q^x)^{#X} x F_q^x of Aut X x Aut y scales block i by
         mu / lambda_i and preserves the cone, and it is transitive on the
         (q-1)^|S| morphisms with support S, so each S needs one cone,
-        whatever q is.
+        whatever q is.  The star cones are memoised modulo the shift
+        functor, so censuses that share a star share its cone.
         """
         q = self.field.q
         counts: Dict[Tuple, int] = {}
         for mask in range(1 << len(xs)):
-            S = tuple([s for t, s in enumerate(xs) if mask >> t & 1])
+            S = tuple([x for t, x in enumerate(xs) if mask >> t & 1])
             summands = [(a, b, n + 1) for t, (a, b, n) in enumerate(xs) if not mask >> t & 1]
-            summands += self._component_cone(S, ys) if S else ys
+            if S:
+                s = min(n for (_a, _b, n) in S + (y,))
+                key = (tuple([(a, b, n - s) for (a, b, n) in S]), (y[0], y[1], y[2] - s))
+                cone = self._cone_cache.get(key)
+                if cone is None:
+                    edges = [(i, 0, 1) for i in range(len(S))]
+                    cone = self._cone_cache[key] = self.cone(self._block_morphism(
+                        DerivedObject(key[0]), DerivedObject(key[1:]), edges)).summands
+                summands += [(a, b, n + s) for (a, b, n) in cone]
+            else:
+                summands.append(y)
             L = tuple(sorted(summands))
             counts[L] = counts.get(L, 0) + (q - 1) ** len(S)
         return counts
-
-    def _component_cone(self, xs, ys) -> List[Tuple[int, int, int]]:
-        """Summands of the cone of the map from the summands ``xs`` to the one
-        summand ``ys`` that is the sum of the basis maps of the blocks.
-        Memoised modulo the shift functor."""
-        s = min(n for (_a, _b, n) in xs + ys)
-        key = (tuple([(a, b, n - s) for (a, b, n) in xs]),
-               tuple([(a, b, n - s) for (a, b, n) in ys]))
-        cone = self._cone_cache.get(key)
-        if cone is None:
-            X, Y = DerivedObject(key[0]), DerivedObject(key[1])
-            edges = [(i, 0, 1) for i in range(len(xs))]
-            cone = self._cone_cache[key] = self.cone(self._block_morphism(X, Y, edges))
-        return [(a, b, n + s) for (a, b, n) in cone.summands]
 
     def _block_morphism(self, X: DerivedObject, Y: DerivedObject, edges) -> DMorphism:
         """The chain map X -> Y that is ``value`` times the basis map of

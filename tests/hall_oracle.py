@@ -33,9 +33,19 @@ Test-only scalars (``euler_form``, ``braces``): the Euler form <X,Y> and
 {X,Y} of two objects, read off ``dhom_dims``.  The package reads both off
 the one ``dhom_dims`` of a sweep, so they have no entry point there.
 
-The class table (``class_id``, ``basis_product``): the package's kernel
+The class table (``class_id``, ``kernel_product``): the package's kernel
 names each isoclass by a small integer id; these map a ``DerivedObject`` to
 its id and a kernel product back to objects.
+
+Products from the per-morphism sweep (``morphism_sweep``,
+``product_from_counts``, ``basis_product``): the package counts the cones
+of Hom(Y[-1], X) per block-support pattern, and only for a letter X; any
+other left factor it writes as an Ext-free word of its letters.  The
+route this replaced takes one cone per morphism of the whole objects and
+gives [X]*[Y] by the Riedtmann formula, for every left factor.
+``basis_product``, which ``hall_product`` and ``evaluate`` use, takes that
+route for a left factor with other than one summand at q <= 3, where
+enumerating Hom(Y[-1], X) stays cheap.
 
 Identification by homology (``identify_by_homology``): the package names a
 complex of projectives from ranks of submatrices of its differentials.  The
@@ -77,7 +87,7 @@ def a_value(alg, Z) -> Fraction:
     return aut * Fraction(alg.q) ** e
 
 
-def basis_product(alg, X, Y):
+def kernel_product(alg, X, Y):
     """[X]*[Y] as a dict L -> QuadraticScalar, in the package's key order.
 
     The package's kernel computes [X]*u_Y on class ids, in the basis
@@ -90,6 +100,51 @@ def basis_product(alg, X, Y):
         c = a_value(alg, L) / (d * a_value(alg, Y))
         out[L] = QuadraticScalar(alg.q, a * c, b * c)
     return out
+
+
+def full_complex_dims(cat, X, Y):
+    """Graded Hom dims from the Hom complex of the whole projective
+    complexes of X and Y, with no use of additivity or of the shift."""
+    if X.is_zero() or Y.is_zero():
+        return {}
+    cx, cy = cat.complex_of(X), cat.complex_of(Y)
+    dxs, dys = cx.degrees(), cy.degrees()
+    dims = {n: hom_degree_dim(cat, cx, cy, n)
+            for n in range(dys[0] - dxs[-1], dys[-1] - dxs[0] + 1)}
+    return {n: d for n, d in dims.items() if d}
+
+
+def morphism_sweep(cat, X, Y):
+    """N_L for every cone class L, from one cone per morphism X -> Y of the
+    whole objects: the route ``cone_counts`` replaces."""
+    counts = {}
+    for w in enumerate_dhoms(cat, X, Y):
+        L = cat.cone(w)
+        counts[L] = counts.get(L, 0) + 1
+    return counts
+
+
+def product_from_counts(alg, X, Y, counts):
+    """[X]*[Y] as a dict L -> QuadraticScalar in the order of the summands
+    of L, from the counts N_L by the Riedtmann formula and the twist
+    q^{<Y,X>/2} read off the Hom complex."""
+    q = alg.q
+    euler = sum((-1) ** (k % 2) * d for k, d in full_complex_dims(alg.category, Y, X).items())
+    twist = QuadraticScalar.sqrt_q_power(q, euler)
+    return {L: twist * QuadraticScalar(q, alg.structure_constant(X, Y, L, n))
+            for L, n in sorted(counts.items(), key=lambda kv: kv[0].summands)}
+
+
+def basis_product(alg, X, Y):
+    """[X]*[Y] as a dict L -> QuadraticScalar.
+
+    For a letter X, or at q > 3, this is the package's kernel.  Any other
+    left factor the kernel writes as a word of its letters; at q <= 3 it is
+    computed here instead from one cone per morphism of Hom(Y[-1], X) and
+    the Riedtmann formula, with no use of the word."""
+    if len(X.summands) == 1 or alg.q > 3:
+        return kernel_product(alg, X, Y)
+    return product_from_counts(alg, X, Y, morphism_sweep(alg.category, Y.shifted(-1), X))
 
 
 def hall_product(alg, x, y):

@@ -58,3 +58,32 @@ def test_working_tree_is_the_tree_its_commit_would_have(tmp_path, monkeypatch):
     git("add", "-A")
     git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "b")
     assert dirty == git("rev-parse", "HEAD^{tree}")
+
+
+def test_both_sides_run_from_fresh_exports(tmp_path, monkeypatch):
+    """Each side runs from a ``git archive`` export: the change side has the
+    working tree's files, untracked ones included, and none of its ignored
+    files (such as bytecode caches), just as the parent side."""
+    monkeypatch.setattr(bench_record, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_record, "WORK", str(tmp_path / ".perfbench"))
+    git = bench_record.git
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("__pycache__/\n.perfbench/\n")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "a")
+    (tmp_path / "b.py").write_text("y = 2\n")
+    (tmp_path / "__pycache__").mkdir()
+    (tmp_path / "__pycache__" / "a.pyc").write_text("cache\n")
+    seen = {}
+
+    def run_side(root, workload, seed, seconds):
+        seen[len(seen)] = (root, sorted(os.listdir(root)))
+        return result(1.0, 1.0)
+
+    monkeypatch.setattr(bench_record, "run_side", run_side)
+    bench_record.record(["w"], 1, 1.0, METRICS, log=lambda line: None)
+    (parent, parent_files), (change, change_files) = seen[0], seen[1]
+    assert str(tmp_path) not in (parent, change) and parent != change
+    assert parent_files == [".gitignore", "a.py"]
+    assert change_files == [".gitignore", "a.py", "b.py"]

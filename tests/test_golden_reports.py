@@ -1,11 +1,13 @@
-"""Golden reports: SHA-256 digests of the JSON reports of eight fast CLI
+"""Golden reports: SHA-256 digests of the JSON reports of nine CLI
 commands that the benchmark workloads do not cover.  The first five were
 recorded from the code before the evaluation layer moved to a trie walk on
 integer numerators, the next two (the skein suite at q = 3 and the m = 5
 boundary-arc bracket at the square q = 4) before generator images were
-applied inside the walk, and the last (the minimal disk at m = 6, larger
-objects than any other) before the kernel named classes by integer ids; a
-change to the evaluation route must leave them as they are."""
+applied inside the walk, the eighth (the minimal disk at m = 6, larger
+objects than any other) before the kernel named classes by integer ids,
+and the last (the minimal disk at m = 7, about 3.5 s of CPU time on a
+2-core x86-64 host) after the product kernel took letters only; a change
+to the evaluation route must leave them as they are."""
 
 import hashlib
 import json
@@ -36,6 +38,8 @@ GOLDEN = [
      "145f8ec637abd0c0af096113eee075096961351d20888070f2e7052664b4ced5"),
     (["verify-disk", "--m", "6", "--h", "1,0,1,0,1,1", "--shifts", "0..0", "--q", "2"],
      "9872a493ec67b48a77dec0cfa4b4615255fecf35b9cbbd00dc7015553aaa4902"),
+    (["verify-disk", "--m", "7", "--h", "1,0,1,0,1,1,1", "--shifts", "0..0", "--q", "2"],
+     "e421daff01cecb423d5a668451bca313b6c4d4f6fa3c4bb1702dd002467e2351"),
 ]
 
 

@@ -3,10 +3,13 @@
 usage: python3 tools/bench_record.py --tag TAG
        python3 tools/bench_record.py --smoke
 
-Standard library only.  The parent is the committed tree of ``HEAD``,
-exported with ``git archive`` into a temporary directory under
-``.perfbench/``; the change is the working tree.  For each workload of
-``BENCHMARK.json``, pair i (i = 1..PAIRS) runs the unmodified
+Standard library only.  The parent is the committed tree of ``HEAD`` and
+the change is the working tree's files, as ``git add -A`` would stage them;
+each is exported with ``git archive`` into a temporary directory under
+``.perfbench/``, so both sides start as the same kind of fresh copy.  (The
+working tree itself may hold bytecode caches from test runs, which the
+measured processes do not write and which shorten its imports.)  For each
+workload of ``BENCHMARK.json``, pair i (i = 1..PAIRS) runs the unmodified
 ``perfbench/run.py`` of each side once, with ``--seed i --seconds S
 --trace 0`` where S is the benchmark's ``run_seconds``, and the side that
 goes first alternates from pair to pair.  Each run prints the medians over
@@ -61,7 +64,7 @@ def working_tree() -> str:
 
 
 def export(rev: str, dest: str) -> None:
-    """The committed tree of ``rev`` under ``dest``."""
+    """The tree of ``rev``, a commit or a tree, under ``dest``."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
@@ -123,8 +126,9 @@ def record(workloads, pairs: int, seconds: float, metrics, log=print) -> dict:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(dir=WORK, prefix="bench_record-") as tmp:
-        export(result["parent"]["rev"], tmp)
-        sides = {"parent": tmp, "change": ROOT}
+        sides = {side: os.path.join(tmp, side) for side in ("parent", "change")}
+        export(result["parent"]["rev"], sides["parent"])
+        export(result["change"]["tree"], sides["change"])
         for w in workloads:
             good, failures = [], []
             for seed in range(1, pairs + 1):
