@@ -3,7 +3,7 @@ with the relation families of their shifted-generator presentations."""
 
 from .freealg import (Generator, NCPolynomial, Relation, expand_arcs,
                       iterated_bracket, q_bracket, zab, zarc, zgen)
-from .hall import HallAlgebra, HallElement, simples_assignment
+from .hall import HallAlgebra, HallElement
 from .presentation import (RelationSet, alpha_map, beta_map, cyclic_family,
                            minimal_disk_relations, naive_presentation, pbw_normal_form,
                            pbw_relations, phi_map, psi_map, quiver_relations,

@@ -25,7 +25,6 @@ import traceback
 from fractions import Fraction
 
 from .freealg import NCPolynomial, zab, zgen
-from .hall import simples_assignment
 from .presentation import (cyclic_family, minimal_disk_relations, naive_presentation,
                            quiver_relations, shared_algebra, verify_relation_set)
 # perfbench/hooks.py traces the skein sets under these names in this module
@@ -206,12 +205,11 @@ def cmd_multiply(args) -> int:
     qs = args.q
     lhs = _parse_expr(args.lhs, args.m)
     rhs = _parse_expr(args.rhs, args.m)
-    assign = simples_assignment(args.m)
     lines = []
     terms = []
     for q in qs:
         alg = shared_algebra(args.m, q)
-        value = alg.evaluate(lhs * rhs, assign)
+        value = alg.evaluate(lhs * rhs)
         lines.append(f"q={q}: {value}")
         terms.append({"q": q, "value": str(value),
                       "terms": [{"object": str(obj), "coeff": {"a": str(c.a),

@@ -129,7 +129,7 @@ class NCPolynomial:
             return NotImplemented
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, RationalFunctionV.from_rational(0)) + c
+            out[w] = out[w] + c if w in out else c
         return NCPolynomial(out)
 
     __radd__ = __add__
@@ -229,17 +229,18 @@ def q_bracket(x: NCPolynomial, y: NCPolynomial, f: ScalarLike = V) -> NCPolynomi
     return x * y - (y * x).scale(f)
 
 
-def iterated_bracket(items: Sequence[NCPolynomial], f: ScalarLike = V) -> NCPolynomial:
-    """Right-nested bracket [a_n, [a_{n-1}, [..., [a_2, a_1]_f ]_f ]_f ]_f.
+def iterated_bracket(items: Sequence[NCPolynomial]) -> NCPolynomial:
+    """Right-nested bracket [a_n, [a_{n-1}, [..., [a_2, a_1]_v ]_v ]_v ]_v.
 
     The list is given outermost first; a singleton returns its element.
+    Every bracket is deformed by v, as in every relation family here.
     """
     items = list(items)
     if not items:
         raise ValueError("iterated_bracket of an empty list")
     acc = items[-1]
     for x in reversed(items[:-1]):
-        acc = q_bracket(x, acc, f)
+        acc = q_bracket(x, acc)
     return acc
 
 
@@ -255,7 +256,7 @@ def zab(a: int, b: int, n: int, m: int) -> NCPolynomial:
     Memoised: polynomials are immutable, and a raised error is not cached."""
     if not (1 <= a < b <= m):
         raise ValueError(f"need 1 <= a < b <= m, got a={a}, b={b}, m={m}")
-    return iterated_bracket([zgen(i, n) for i in range(b - 1, a - 1, -1)], V)
+    return iterated_bracket([zgen(i, n) for i in range(b - 1, a - 1, -1)])
 
 
 def egen(i: int, n: int, family: str = "E") -> NCPolynomial:

@@ -61,8 +61,10 @@ where a HallElement is built (``_element``), ``hall_product`` divides the
 coefficients of y by a(Y) on entry, and the walk starts from [0] = u_0.  ``structure_constant`` gives
 one F^L_{X,Y} as a Fraction.
 
-Free-algebra expressions are evaluated here by sending each generator
-to a basis class and each Q(v) coefficient to Q(sqrt(q)).
+Free-algebra expressions are evaluated here by sending each quiver
+generator z_{i,n} to the class of the shifted simple S_i[n] (Ringel, Hall
+algebras and quantum groups, Invent. Math. 1990; Toen 2006) and each Q(v)
+coefficient to Q(sqrt(q)).
 ``evaluate_many`` evaluates a batch of polynomials, such as every side of
 a relation set, in one pass.  It walks the trie of the reversed words of
 all their terms depth first (as the sorted list of those words), so a word
@@ -94,7 +96,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .freealg import Generator, NCPolynomial
-from .repq import DerivedCategory, DerivedObject, FiniteField
+from .repq import DerivedCategory, DerivedObject
 from .scalar import QuadraticScalar, RationalFunctionV, evaluate_at
 
 
@@ -239,8 +241,7 @@ class HallAlgebra:
     def __init__(self, m: int, q: int):
         self.m = m
         self.q = q
-        self.field = FiniteField(q)
-        self.category = DerivedCategory(m, self.field)
+        self.category = DerivedCategory(m, q)
         # the class table: id <-> summands, and each class's lowest summand
         # shift (None for 0)
         self._ids: Dict[Tuple, int] = {}
@@ -440,17 +441,15 @@ class HallAlgebra:
     # -- evaluation of free-algebra expressions ------------------------------
 
     def evaluate_many(self, polys: Sequence[NCPolynomial],
-                      assign: Dict[Tuple[str, object], DerivedObject],
                       expand: Optional[Callable[[Generator], NCPolynomial]] = None
                       ) -> List[HallElement]:
         """Evaluate NCPolynomials in one pass over the trie of their reversed words.
 
         ``expand``, if given, sends each generator to its image, a
-        polynomial in the generators of ``assign``, and each generator is
+        polynomial in the quiver generators z_{i,n}, and each generator is
         replaced by its image as the walk reaches it; without it every
-        generator is its own image.  ``assign`` maps (family, index) to
-        the shift-0 basis object of that generator; shifts are applied per
-        generator occurrence.
+        generator is its own image.  z_{i,n} is the class of the shifted
+        simple S_i[n] = M[i,i+1)[n], for 1 <= i <= m - 1.
         """
         # Words are multiplied right to left: keeping a single basis class
         # on the left makes the Hom-set sweeps inside the structure
@@ -462,10 +461,10 @@ class HallAlgebra:
                                    for word, coeff in p.terms.items()))
         scalars = {}  # Q(v) coefficient -> (A, B, d): its value (A + B sqrt(q))/d
         # every image is compiled once, in order of first occurrence and
-        # before the first product, so a generator with no image or no
-        # assignment fails early
+        # before the first product, so a generator with no image, or an
+        # image that is not in the quiver generators, fails early
         programs = {g: self._program(expand(g) if expand else NCPolynomial.generator(g),
-                                     assign, scalars)
+                                     scalars)
                     for g in dict.fromkeys(g for _k, rev, _c in entries for g in rev)}
         totals: List[Numerators] = [(1, ()) for _ in polys]
         stack = [(1, ((self._id(()), 1, 0),))]  # [0] = u_0: a(0) = 1
@@ -486,18 +485,18 @@ class HallAlgebra:
             c = scalars[coeff] = (a, b, d)
         return c
 
-    def _program(self, image: NCPolynomial, assign, scalars):
+    def _program(self, image: NCPolynomial, scalars):
         """An image as a program for ``_run``: its reversed words in trie
         order, each as (k, the class ids after its first k letters, its
-        coefficient as (A, B, d))."""
+        coefficient as (A, B, d)); z_{i,n} is the id of S_i[n]."""
         program = []
         for k, rev, coeff in _trie_order((w[::-1], c) for w, c in image.terms.items()):
             ids = []
             for g in rev[k:]:
-                base = assign.get((g.family, g.index))
-                if base is None:
+                i = g.index
+                if g.family != "z" or type(i) is not int or not 1 <= i < self.m:
                     raise ValueError(f"no assignment for generator {g}")
-                ids.append(self._shift(self._id(base.summands), g.shift))
+                ids.append(self._id(((i, i + 1, g.shift),)))
             program.append((k, ids, self._scalar(coeff, scalars)))
         return program
 
@@ -516,15 +515,14 @@ class HallAlgebra:
             return stack[-1]  # one word with coefficient 1: nothing to sum
         return self._combine(1, parts)
 
-    def evaluate(self, x: NCPolynomial, assign: Dict[Tuple[str, object], DerivedObject]
-                 ) -> HallElement:
+    def evaluate(self, x: NCPolynomial) -> HallElement:
         """Evaluate one NCPolynomial (see ``evaluate_many``)."""
-        return self.evaluate_many([x], assign)[0]
+        return self.evaluate_many([x])[0]
 
     def verify_identity(self, lhs: NCPolynomial, rhs: NCPolynomial,
-                        assign, label: Optional[str] = None) -> dict:
+                        label: Optional[str] = None) -> dict:
         """Evaluate both sides; report pass/fail with expansions and diff."""
-        return identity_report(label, *self.evaluate_many([lhs, rhs], assign))
+        return identity_report(label, *self.evaluate_many([lhs, rhs]))
 
 
 def identity_report(label: Optional[str], lhs: HallElement, rhs: HallElement) -> dict:
@@ -537,8 +535,3 @@ def identity_report(label: Optional[str], lhs: HallElement, rhs: HallElement) ->
         "rhs": str(rhs),
         "diff": str(diff),
     }
-
-
-def simples_assignment(m: int) -> Dict[Tuple[str, object], DerivedObject]:
-    """The standard assignment z_i -> S_i for the quiver generators."""
-    return {("z", i): DerivedObject.simple(i) for i in range(1, m)}

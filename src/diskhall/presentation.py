@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .freealg import (Generator, NCPolynomial, Relation, egen, iterated_bracket,
                       q_bracket, zab, zgen)
-from .hall import HallAlgebra, identity_report, simples_assignment
+from .hall import HallAlgebra, identity_report
 from .scalar import ONE, V
 from .surface import (SELF_EXT, GluingSpec, GradedChord, MarkedDisk, SurfaceConfig, angle,
                       boundary_skein, crossing, glue, load_config, normalized_gluing,
@@ -27,15 +27,15 @@ DEFAULT_WINDOW: Window = (-2, 3)
 
 @dataclass(frozen=True)
 class RelationSet:
-    """A named batch of labeled identities over declared generators.
+    """A named batch of labeled identities.
 
+    ``generators`` are the (family, index) pairs its relations use.
     ``expand`` rewrites each generator as a polynomial in the quiver
     generators z_{i,n} of A_{oracle_m - 1}; sets without it (and without
     ``oracle_m``) are emission-only and cannot be verified.
     """
 
     name: str
-    generators: Tuple[Tuple[str, object], ...]
     relations: Tuple[Relation, ...]
     oracle_m: Optional[int] = None
     expand: Optional[Callable[[Generator], NCPolynomial]] = None
@@ -45,11 +45,10 @@ class RelationSet:
         if len(set(labels)) != len(labels):
             dup = sorted({l for l in labels if labels.count(l) > 1})
             raise ValueError(f"duplicate relation labels: {dup[:3]}")
-        declared = set(self.generators)
-        for r in self.relations:
-            for g in list(r.lhs.generators()) + list(r.rhs.generators()):
-                if (g.family, g.index) not in declared:
-                    raise ValueError(f"relation {r.label!r} uses undeclared generator {g}")
+
+    @property
+    def generators(self) -> Tuple[Tuple[str, object], ...]:
+        return _used_generators(self.relations)
 
     @property
     def verifiable(self) -> bool:
@@ -131,7 +130,7 @@ def quiver_relations(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
                         zgen(i, n) * zgen(j, n + k),
                         (zgen(j, n + k) * zgen(i, n)).scale(
                             V ** ((-1) ** k * _cartan(i, j)))))
-    return RelationSet(f"quiver relations m={m}", _used_generators(rels), tuple(rels),
+    return RelationSet(f"quiver relations m={m}", tuple(rels),
                        oracle_m=m, expand=_z_expander(m))
 
 
@@ -176,8 +175,7 @@ def s_relations(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
                     rels.append(Relation(
                         f"(S4) ({a},{b}) n={n} k={k}",
                         q_bracket(Z(a, b, n), Z(a, b, n + k), V ** (2 * (-1) ** k)), rhs))
-    return RelationSet(f"arc relations m={m}", _used_generators(rels), tuple(rels),
-                       oracle_m=m, expand=_z_expander(m))
+    return RelationSet(f"arc relations m={m}", tuple(rels), oracle_m=m, expand=_z_expander(m))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def phi_map(disk: MarkedDisk) -> Callable[[Generator], NCPolynomial]:
 def _convolution(disk: MarkedDisk, i: int) -> Relation:
     lhs = _E(disk, i, disk.foliation.at(i))
     rhs = iterated_bracket(
-        [_E(disk, i + j, tau_angle(disk, i, j)) for j in range(disk.m - 1, 0, -1)], V)
+        [_E(disk, i + j, tau_angle(disk, i, j)) for j in range(disk.m - 1, 0, -1)])
     return Relation(f"(R2) convolution i={((i - 1) % disk.m) + 1}", lhs, rhs)
 
 
@@ -266,8 +264,8 @@ def minimal_disk_relations(disk: MarkedDisk, window: Window = DEFAULT_WINDOW) ->
                         f"(R3) i={i} j={j} shifts=({n},{k})",
                         q_bracket(_E(disk, i, n), _E(disk, j, k), ONE),
                         NCPolynomial.zero()))
-    return RelationSet(f"minimal disk m={m} h={h.h}", _used_generators(rels),
-                       tuple(rels), oracle_m=m, expand=psi_map(disk))
+    return RelationSet(f"minimal disk m={m} h={h.h}", tuple(rels),
+                       oracle_m=m, expand=psi_map(disk))
 
 
 def cyclic_family(disk: MarkedDisk, i: int) -> RelationSet:
@@ -276,12 +274,12 @@ def cyclic_family(disk: MarkedDisk, i: int) -> RelationSet:
     rels: List[Relation] = []
     for k in range(0, m - 1):
         xs = [_E(disk, i + t, tau_angle(disk, i, t) + 1) for t in range(k, 0, -1)]
-        lhs = iterated_bracket(xs + [_E(disk, i, disk.foliation.at(i))], V)
+        lhs = iterated_bracket(xs + [_E(disk, i, disk.foliation.at(i))])
         rhs = iterated_bracket(
-            [_E(disk, i + j, tau_angle(disk, i, j)) for j in range(m - 1, k, -1)], V)
+            [_E(disk, i + j, tau_angle(disk, i, j)) for j in range(m - 1, k, -1)])
         rels.append(Relation(f"cyclic rung k={k}", lhs, rhs))
-    return RelationSet(f"cyclic family m={m} i={i}", _used_generators(rels),
-                       tuple(rels), oracle_m=m, expand=psi_map(disk))
+    return RelationSet(f"cyclic family m={m} i={i}", tuple(rels),
+                       oracle_m=m, expand=psi_map(disk))
 
 
 def local_skein_relations(window: Window = DEFAULT_WINDOW) -> RelationSet:
@@ -305,8 +303,8 @@ def local_skein_relations(window: Window = DEFAULT_WINDOW) -> RelationSet:
         else:
             rhs = NCPolynomial.zero()
         rels.append(Relation(f"local skein l={l}", q_bracket(X, Y.suspend(l), 1), rhs))
-    return RelationSet("local skein (standard form)", _used_generators(rels),
-                       tuple(rels), oracle_m=4, expand=psi_map(disk))
+    return RelationSet("local skein (standard form)", tuple(rels),
+                       oracle_m=4, expand=psi_map(disk))
 
 
 def chord_skein_set(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
@@ -340,8 +338,7 @@ def chord_skein_set(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
             if r.label not in seen:
                 seen.add(r.label)
                 rels.append(r)
-    return RelationSet(f"chord skein m={m}", _used_generators(rels), tuple(rels),
-                       oracle_m=m, expand=_z_expander(m))
+    return RelationSet(f"chord skein m={m}", tuple(rels), oracle_m=m, expand=_z_expander(m))
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +356,10 @@ def beta_map(spec: GluingSpec) -> Callable[[Generator], NCPolynomial]:
     big = n + m2 - 2
     gfol = glued.foliation
 
-    en1 = iterated_bracket(
-        [egen(k, span(1, k, gfol), "G") for k in range(n - 1, 0, -1)],
-        V).suspend(1 - e_rot.at(n))
-    fn1 = iterated_bracket(
-        [egen(k, span(n, k, gfol), "G") for k in range(big, n - 1, -1)],
-        V).suspend(1 - f_rot[n - 1])
+    en1 = iterated_bracket([egen(k, span(1, k, gfol), "G")
+                            for k in range(n - 1, 0, -1)]).suspend(1 - e_rot.at(n))
+    fn1 = iterated_bracket([egen(k, span(n, k, gfol), "G")
+                            for k in range(big, n - 1, -1)]).suspend(1 - f_rot[n - 1])
 
     def image(g: Generator) -> NCPolynomial:
         if g.family == "E" and 1 <= g.index <= n:
@@ -462,8 +457,7 @@ def naive_presentation(config: Union[SurfaceConfig, dict],
 
         oracle_m = n + m2 - 2
 
-    return RelationSet("naive presentation", _used_generators(rels), tuple(rels),
-                       oracle_m=oracle_m, expand=expand)
+    return RelationSet("naive presentation", tuple(rels), oracle_m=oracle_m, expand=expand)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +507,7 @@ def pbw_relations(m: int) -> RelationSet:
             return zab(i, j, g.shift, m)
         raise ValueError(f"cannot expand generator {g}")
 
-    return RelationSet(f"pbw m={m}", _used_generators(rels), tuple(rels),
-                       oracle_m=m, expand=expand)
+    return RelationSet(f"pbw m={m}", tuple(rels), oracle_m=m, expand=expand)
 
 
 def pbw_normal_form(word) -> NCPolynomial:
@@ -583,13 +576,12 @@ def verify_relation_set(rs: RelationSet, q_list: Sequence[int] = (2, 3)) -> dict
         raise ValueError(f"relation set {rs.name!r} is emission-only and "
                          "has no oracle assignment")
 
-    assign = simples_assignment(rs.oracle_m)
     sides = [p for r in rs.relations for p in (r.lhs, r.rhs)]
     results = []
     for q in q_list:
         # one pass over the words of every side, each generator replaced by
         # its image inside the pass
-        values = shared_algebra(rs.oracle_m, q).evaluate_many(sides, assign, rs.expand)
+        values = shared_algebra(rs.oracle_m, q).evaluate_many(sides, rs.expand)
         results += [dict(identity_report(r.label, values[2 * k], values[2 * k + 1]), q=q)
                     for k, r in enumerate(rs.relations)]
     failed = [r for r in results if not r["passed"]]

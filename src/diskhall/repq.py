@@ -287,15 +287,6 @@ class DerivedObject:
         # a uniform shift keeps the lexicographic order of (a, b, n)
         return DerivedObject(tuple([(a, b, n + k) for (a, b, n) in self.summands]))
 
-    def class_vector(self, m: int) -> Tuple[int, ...]:
-        """Class in K_0 = Z^{m-1}: signed sum of dimension vectors."""
-        vec = [0] * (m - 1)
-        for (a, b, n) in self.summands:
-            s = (-1) ** (n % 2)
-            for v in range(a, b):
-                vec[v - 1] += s
-        return tuple(vec)
-
     def __str__(self):
         if not self.summands:
             return "0"
@@ -375,11 +366,11 @@ class DMorphism:
 class DerivedCategory:
     """Computation context for D^b(Rep_{F_q} A_{m-1}) with memo caches."""
 
-    def __init__(self, m: int, field: FiniteField):
+    def __init__(self, m: int, q: int):
         if m < 2:
             raise ValueError("need m >= 2")
         self.m = m
-        self.field = field
+        self.field = FiniteField(q)
         # a star's sources and target at lowest shift 0 -> its cone's summands
         self._cone_cache: Dict[Tuple, Tuple] = {}
         # touched summands of X and the target y at lowest shift 0 -> their
@@ -585,9 +576,13 @@ class DerivedCategory:
 
             q^{dim End X - sum mult(mult+1)/2} prod_summands prod_{j=1}^{mult} (q^j - 1),
 
-        where the exponent is >= 0 since dim End X >= sum mult^2.
+        where the exponent is >= 0 since dim End X >= sum mult^2.  dim End X
+        counts the summand pairs whose Hom sits in degree 0, so a caller
+        that reads ``dhom_dims(X, X)`` for {X,X} does not read it twice.
         """
-        q, e, count = self.field.q, self.dhom_dims(X, X).get(0, 0), 1
+        q, count = self.field.q, 1
+        e = sum(self._pair_dims(a, b, c, d, k - n) == 0
+                for (a, b, n) in X.summands for (c, d, k) in X.summands)
         for mult in Counter(X.summands).values():
             e -= mult * (mult + 1) // 2
             for j in range(1, mult + 1):

@@ -16,6 +16,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Tuple
@@ -292,8 +293,12 @@ Q = RationalFunctionV.q_power(1)
 # prime powers and Q(sqrt(q))
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def prime_power_decompose(q: int):
-    """Return (p, k) with q = p^k and p prime, or None."""
+    """Return (p, k) with q = p^k and p prime, or None.
+
+    Trial division up to sqrt(q); memoised, since every QuadraticScalar
+    checks its q."""
     if q < 2:
         return None
     for p in range(2, q + 1):
@@ -343,15 +348,6 @@ class QuadraticScalar:
         object.__setattr__(out, "a", a)
         object.__setattr__(out, "b", b)
         return out
-
-    @staticmethod
-    def sqrt_q_power(q: int, n: int) -> "QuadraticScalar":
-        """q^(n/2) as an exact scalar, for any integer n."""
-        half, odd = divmod(n, 2)
-        base = Fraction(q) ** half
-        if odd:
-            return QuadraticScalar(q, 0, base)
-        return QuadraticScalar(q, base)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

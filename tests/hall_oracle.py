@@ -29,9 +29,12 @@ map of a one-dimensional Hom, off a closed form.  The route this replaced
 solves the Hom complex of the projective complexes, and lists the homotopy
 classes of maps between whole objects for the two-sweep counts above.
 
-Test-only scalars (``euler_form``, ``braces``): the Euler form <X,Y> and
-{X,Y} of two objects, read off ``dhom_dims``.  The package reads both off
-the one ``dhom_dims`` of a sweep, so they have no entry point there.
+Test-only scalars (``euler_form``, ``braces``, ``sqrt_q_power``,
+``class_vector``): the Euler form <X,Y> and {X,Y} of two objects, read off
+``dhom_dims``, q^(n/2) as a ``QuadraticScalar``, and the class of an object
+in K_0.  The package reads the first two off the one ``dhom_dims`` of a
+sweep and folds q^(n/2) into integer numerators, so none of them has an
+entry point there.
 
 The class table (``class_id``, ``kernel_product``): the package's kernel
 names each isoclass by a small integer id; these map a ``DerivedObject`` to
@@ -44,8 +47,9 @@ other left factor it writes as an Ext-free word of its letters.  The
 route this replaced takes one cone per morphism of the whole objects and
 gives [X]*[Y] by the Riedtmann formula, for every left factor.
 ``basis_product``, which ``hall_product`` and ``evaluate`` use, takes that
-route for a left factor with other than one summand at q <= 3, where
-enumerating Hom(Y[-1], X) stays cheap.
+route for every left factor at q <= 3, where enumerating Hom(Y[-1], X)
+stays cheap, so the evaluation oracles check the structure constants of
+the package's sweep as well as its word route.
 
 Identification by homology (``identify_by_homology``): the package names a
 complex of projectives from ranks of submatrices of its differentials.  The
@@ -74,6 +78,23 @@ def braces(cat, X, Y) -> Fraction:
     """{X,Y} = prod_{n>0} |Ext^{-n}(X,Y)|^{(-1)^n} as an exact rational."""
     e = sum((-1) ** (k % 2) * d for k, d in cat.dhom_dims(X, Y).items() if k < 0)
     return Fraction(cat.field.q) ** e
+
+
+def sqrt_q_power(q, n) -> QuadraticScalar:
+    """q^(n/2) as an exact scalar, for any integer n."""
+    half, odd = divmod(n, 2)
+    base = Fraction(q) ** half
+    return QuadraticScalar(q, 0, base) if odd else QuadraticScalar(q, base)
+
+
+def class_vector(X, m):
+    """The class of X in K_0 = Z^{m-1}: the signed sum of the dimension
+    vectors of its summands, M[a,b)[n] counted with sign (-1)^n."""
+    vec = [0] * (m - 1)
+    for (a, b, n) in X.summands:
+        for v in range(a, b):
+            vec[v - 1] += (-1) ** (n % 2)
+    return tuple(vec)
 
 
 def class_id(alg, X) -> int:
@@ -130,7 +151,7 @@ def product_from_counts(alg, X, Y, counts):
     q^{<Y,X>/2} read off the Hom complex."""
     q = alg.q
     euler = sum((-1) ** (k % 2) * d for k, d in full_complex_dims(alg.category, Y, X).items())
-    twist = QuadraticScalar.sqrt_q_power(q, euler)
+    twist = sqrt_q_power(q, euler)
     return {L: twist * QuadraticScalar(q, alg.structure_constant(X, Y, L, n))
             for L, n in sorted(counts.items(), key=lambda kv: kv[0].summands)}
 
@@ -138,11 +159,10 @@ def product_from_counts(alg, X, Y, counts):
 def basis_product(alg, X, Y):
     """[X]*[Y] as a dict L -> QuadraticScalar.
 
-    For a letter X, or at q > 3, this is the package's kernel.  Any other
-    left factor the kernel writes as a word of its letters; at q <= 3 it is
-    computed here instead from one cone per morphism of Hom(Y[-1], X) and
-    the Riedtmann formula, with no use of the word."""
-    if len(X.summands) == 1 or alg.q > 3:
+    At q > 3 this is the package's kernel.  At q <= 3 it is computed here
+    from one cone per morphism of Hom(Y[-1], X) and the Riedtmann formula,
+    with no use of the package's sweep, its census or its word route."""
+    if alg.q > 3:
         return kernel_product(alg, X, Y)
     return product_from_counts(alg, X, Y, morphism_sweep(alg.category, Y.shifted(-1), X))
 
@@ -159,25 +179,26 @@ def hall_product(alg, x, y):
     return HallElement(alg.q, out)
 
 
-def evaluate(alg, x, assign):
-    """An NCPolynomial evaluated one word at a time, right to left."""
+def evaluate(alg, x):
+    """An NCPolynomial evaluated one word at a time, right to left, with
+    z_{i,n} sent to the shifted simple S_i[n]."""
     q = alg.q
     total = HallElement.zero(q)
     for word, coeff in x.terms.items():
         acc = HallElement.unit(q)
         for g in reversed(word):
-            base = assign.get((g.family, g.index))
-            if base is None:
+            if g.family != "z" or g.index not in range(1, alg.m):
                 raise ValueError(f"no assignment for generator {g}")
-            acc = hall_product(alg, HallElement.basis(q, base.shifted(g.shift)), acc)
+            simple = DerivedObject.simple(g.index, g.shift)
+            acc = hall_product(alg, HallElement.basis(q, simple), acc)
         total = total + acc.scale(evaluate_at(coeff, q))
     return total
 
 
-def evaluate_expanded(alg, polys, assign, expand):
-    """Every polynomial expanded into the generators of ``assign`` with
+def evaluate_expanded(alg, polys, expand):
+    """Every polynomial expanded into the quiver generators with
     ``NCPolynomial.substitute``, then evaluated in one batch."""
-    return alg.evaluate_many([p.substitute(expand) for p in polys], assign)
+    return alg.evaluate_many([p.substitute(expand) for p in polys])
 
 
 def columns(vectors):

@@ -74,7 +74,7 @@ def test_q_bracket_default_parameter():
 def test_iterated_bracket_nesting():
     x, y, z = _gens()
     assert iterated_bracket([x]) == x
-    assert iterated_bracket([x, y, z], V) == q_bracket(x, q_bracket(y, z, V), V)
+    assert iterated_bracket([x, y, z]) == q_bracket(x, q_bracket(y, z, V), V)
     with pytest.raises(ValueError):
         iterated_bracket([])
 

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 import bruteforce
-from diskhall.hall import HallAlgebra, HallElement, simples_assignment
+from hall_oracle import class_vector, sqrt_q_power
+from diskhall.hall import HallAlgebra, HallElement
 from diskhall.repq import DerivedObject
 from diskhall.scalar import QuadraticScalar
-from diskhall.freealg import zgen
+from diskhall.freealg import Generator, NCPolynomial, zgen
 
 
 def test_unit_element():
@@ -41,7 +42,7 @@ def test_frozen_square_fixture():
     S = HallElement.basis(2, DerivedObject.simple(1))
     prod = alg.hall_product(S, S)
     expected = {DerivedObject.of([k[0], k[1]]):
-                QuadraticScalar.sqrt_q_power(2, e) * QuadraticScalar(2, c)
+                sqrt_q_power(2, e) * QuadraticScalar(2, c)
                 for k, (c, e) in FROZEN_SS.items()}
     assert prod.terms == expected
 
@@ -68,7 +69,7 @@ def test_rank_one_products_match_bruteforce(shifts, q):
     alg = HallAlgebra(2, q)
     ours = alg.hall_product(HallElement.basis(q, X), HallElement.basis(q, Y))
     theirs = bruteforce.hall_product(_to_graded(X), _to_graded(Y), q)
-    expected = {_from_graded(key): QuadraticScalar.sqrt_q_power(q, e)
+    expected = {_from_graded(key): sqrt_q_power(q, e)
                 * QuadraticScalar(q, c) for key, (c, e) in theirs.items()}
     expected = {o: c for o, c in expected.items() if not c.is_zero()}
     assert ours.terms == expected
@@ -102,22 +103,29 @@ def test_k0_additivity_of_products():
     for _ in range(40):
         X = random_object(rng, 4)
         Y = random_object(rng, 4)
-        total = tuple(x + y for x, y in zip(X.class_vector(4), Y.class_vector(4)))
+        total = tuple(x + y for x, y in zip(class_vector(X, 4), class_vector(Y, 4)))
         prod = alg.hall_product(HallElement.basis(2, X), HallElement.basis(2, Y))
         for L in prod.terms:
-            assert L.class_vector(4) == total
+            assert class_vector(L, 4) == total
 
 
 def test_evaluate_respects_shifts():
     alg = HallAlgebra(3, 2)
-    assign = simples_assignment(3)
-    val = alg.evaluate(zgen(1, 1) * zgen(2, 0), assign)
+    val = alg.evaluate(zgen(1, 1) * zgen(2, 0))
     for obj in val.terms:
         shifts = sorted(n for (_a, _b, n) in obj.summands)
         assert shifts in ([0, 1], [])
 
 
-def test_evaluate_unknown_generator():
+def test_evaluate_unknown_generator(monkeypatch):
+    """z_{i,n} is S_i[n] for 1 <= i <= m - 1.  Any other generator (another
+    family, an arc's tuple index, an index outside 1..m-1) is refused while
+    the programs compile, before any product."""
     alg = HallAlgebra(3, 2)
-    with pytest.raises(ValueError):
-        alg.evaluate(zgen(7, 0), simples_assignment(3))
+    calls = []
+    monkeypatch.setattr(alg, "_basis_product", lambda x, y: calls.append((x, y)))
+    for g in (Generator("E", 1, 0), Generator("z", (1, 2), 0), Generator("z", 0, 0),
+              Generator("z", 3, 0), Generator("z", 7, 0), Generator("z", True, 0)):
+        with pytest.raises(ValueError, match="no assignment for generator"):
+            alg.evaluate(zgen(1, 0) * NCPolynomial.generator(g))
+    assert calls == []
