@@ -1,8 +1,8 @@
 """Exact derived Hall algebras of type-A quivers over finite fields,
 with the relation families of their shifted-generator presentations."""
 
-from .freealg import (Generator, NCPolynomial, Relation, expand_arcs,
-                      iterated_bracket, q_bracket, zab, zarc, zgen)
+from .freealg import (Generator, NCPolynomial, Relation, iterated_bracket, q_bracket,
+                      zab, zarc, zgen)
 from .hall import HallAlgebra, HallElement
 from .presentation import (RelationSet, alpha_map, beta_map, cyclic_family,
                            minimal_disk_relations, naive_presentation, pbw_normal_form,

@@ -49,6 +49,11 @@ class UsageError(Exception):
 #: irreducible modulus of F_q take longer than any check is worth
 MAX_Q = 2 ** 32
 
+#: the most digits, and the largest decimal exponent, of a coefficient token
+#: (Python's default int/str conversion limit): a larger token is rejected
+#: before its integers are built
+MAX_DIGITS = 4300
+
 
 def _parse_window(text: str):
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
@@ -192,7 +197,12 @@ def _parse_expr(text: str, m: int) -> NCPolynomial:
                     raise UsageError(f"generator index {idx} out of range 1..{m - 1}")
                 out = out * zgen(idx, int(n))
             continue
+        mantissa, _, exponent = tok.lower().partition("e")
         try:
+            if (sum(map(str.isdigit, mantissa)) > MAX_DIGITS
+                    or abs(int(exponent or 0)) > MAX_DIGITS):
+                raise UsageError(f"coefficient {tok!r} is too large: more than "
+                                 f"{MAX_DIGITS} digits or an exponent beyond {MAX_DIGITS}")
             out = out.scale(Fraction(tok))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"cannot parse token {tok!r}")
@@ -335,7 +345,12 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = ap.parse_args(_merge_dash_values(list(argv)))
+    # exact results are printed in full, however many digits they have; the
+    # old limit comes back on return, since main also runs in-process
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         args.q = _parse_qs(args.q)
         if hasattr(args, "shifts"):
             args.shifts = _parse_window(args.shifts)
@@ -350,6 +365,9 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 3
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -267,23 +267,13 @@ def egen(i: int, n: int, family: str = "E") -> NCPolynomial:
 def zarc(a: int, b: int, n: int) -> NCPolynomial:
     """The arc generator z_{(a,b),n} as an unexpanded symbol.
 
-    Kept symbolic (tuple index) so emitted relations stay readable; use
-    ``expand_arcs`` to rewrite these symbols as iterated brackets of the
-    z_{i,n} before evaluating in a Hall algebra.
+    Kept symbolic (tuple index) so emitted relations stay readable; a
+    relation set's expander rewrites these symbols as the iterated
+    brackets ``zab`` of the z_{i,n} when it is evaluated in a Hall algebra.
     """
     if a >= b:
         raise ValueError(f"need a < b, got ({a}, {b})")
     return NCPolynomial.generator(Generator("z", (a, b), n))
-
-
-def expand_arcs(p: NCPolynomial, m: int) -> NCPolynomial:
-    """Rewrite every z_{(a,b),n} symbol as its bracket of simple generators."""
-    def image(g: Generator) -> NCPolynomial:
-        if g.family == "z" and isinstance(g.index, tuple):
-            a, b = g.index
-            return zab(a, b, g.shift, m)
-        return NCPolynomial.generator(g)
-    return p.substitute(image)
 
 
 @dataclass(frozen=True)
@@ -293,16 +283,6 @@ class Relation:
     label: str
     lhs: NCPolynomial
     rhs: NCPolynomial
-
-    def difference(self) -> NCPolynomial:
-        return self.lhs - self.rhs
-
-    def substitute(self, image) -> "Relation":
-        return Relation(self.label, self.lhs.substitute(image),
-                        self.rhs.substitute(image))
-
-    def suspend(self, n: int) -> "Relation":
-        return Relation(self.label, self.lhs.suspend(n), self.rhs.suspend(n))
 
     def __str__(self):
         return f"{self.label}: {self.lhs} = {self.rhs}"

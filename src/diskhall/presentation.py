@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .freealg import (Generator, NCPolynomial, Relation, egen, iterated_bracket,
-                      q_bracket, zab, zgen)
+                      q_bracket, zab, zarc, zgen)
 from .hall import HallAlgebra, identity_report
 from .scalar import ONE, V
-from .surface import (SELF_EXT, GluingSpec, GradedChord, MarkedDisk, SurfaceConfig, angle,
-                      boundary_skein, crossing, glue, load_config, normalized_gluing,
-                      self_skein, skein_commutator, span, standard_form)
+from .surface import (SELF_EXT, SHARED, GluingSpec, GradedChord, MarkedDisk, SurfaceConfig,
+                      angle, boundary_skein, crossing, glue, load_config, normalized_gluing,
+                      self_extension, self_skein, skein_commutator, span, standard_form)
 
 Window = Tuple[int, int]
 DEFAULT_WINDOW: Window = (-2, 3)
@@ -74,11 +75,13 @@ def _used_generators(relations: Sequence[Relation]) -> Tuple[Tuple[str, object],
 
 
 def _z_expander(m: int) -> Callable[[Generator], NCPolynomial]:
+    """The expander of the quiver, arc, chord and PBW sets: an arc symbol
+    X_{(a,b),n} of any family (z for arcs and chords, F for PBW generators)
+    goes to zab(a, b, n, m), and a quiver generator z_{i,n} to itself."""
     def image(g: Generator) -> NCPolynomial:
+        if isinstance(g.index, tuple):
+            return zab(*g.index, g.shift, m)
         if g.family == "z":
-            if isinstance(g.index, tuple):
-                a, b = g.index
-                return zab(a, b, g.shift, m)
             return zgen(g.index, g.shift)
         raise ValueError(f"cannot expand generator {g}")
     return image
@@ -141,14 +144,9 @@ def s_relations(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
         raise ValueError(f"need m >= 3 for arc relations, got {m}")
     lo, hi = window
     rels: List[Relation] = []
-
-    def Z(a, b, n):
-        return NCPolynomial.generator(Generator("z", (a, b), n))
-
-    triples = [(a, b, c) for a in range(1, m + 1) for b in range(a + 1, m + 1)
-               for c in range(b + 1, m + 1)]
-    quads = [(a, b, c, d) for a in range(1, m + 1) for b in range(a + 1, m + 1)
-             for c in range(b + 1, m + 1) for d in range(c + 1, m + 1)]
+    Z = zarc
+    triples = list(combinations(range(1, m + 1), 3))
+    quads = list(combinations(range(1, m + 1), 4))
     for n in range(lo, hi + 1):
         for a, b, c in triples:
             rels.append(Relation(f"(S0) ({a},{b},{c}) n={n}",
@@ -171,10 +169,9 @@ def s_relations(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
         for a in range(1, m + 1):
             for b in range(a + 1, m + 1):
                 for k in range(1, hi - n + 1):
-                    rhs = NCPolynomial.scalar(SELF_EXT) if k == 1 else NCPolynomial.zero()
-                    rels.append(Relation(
-                        f"(S4) ({a},{b}) n={n} k={k}",
-                        q_bracket(Z(a, b, n), Z(a, b, n + k), V ** (2 * (-1) ** k)), rhs))
+                    e, rhs = self_extension(k)
+                    rels.append(Relation(f"(S4) ({a},{b}) n={n} k={k}",
+                                         q_bracket(Z(a, b, n), Z(a, b, n + k), V ** e), rhs))
     return RelationSet(f"arc relations m={m}", tuple(rels), oracle_m=m, expand=_z_expander(m))
 
 
@@ -235,11 +232,10 @@ def minimal_disk_relations(disk: MarkedDisk, window: Window = DEFAULT_WINDOW) ->
     for i in range(1, m + 1):
         for n in range(lo, hi + 1):
             for k in range(1, hi - n + 1):
-                rhs = NCPolynomial.scalar(SELF_EXT) if k == 1 else NCPolynomial.zero()
-                rels.append(Relation(
-                    f"(R1) i={i} n={n} k={k}",
-                    q_bracket(_E(disk, i, n), _E(disk, i, n + k), V ** (2 * (-1) ** k)),
-                    rhs))
+                e, rhs = self_extension(k)
+                rels.append(Relation(f"(R1) i={i} n={n} k={k}",
+                                     q_bracket(_E(disk, i, n), _E(disk, i, n + k), V ** e),
+                                     rhs))
         # adjacent pair (i+1, i): base shifts (k, h(i)); all suspensions in
         # window.  None in a bigon, where E_{i+1} is a shift of E_i and (R1)
         # relates the two.
@@ -310,34 +306,14 @@ def local_skein_relations(window: Window = DEFAULT_WINDOW) -> RelationSet:
 def chord_skein_set(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
     """Interior, boundary and self skein identities of the graded chords of
     an m-gon, with shift differences across the window."""
-    rels = []
-    seen = set()
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            for c in range(b + 1, m + 1):
-                for d in range(c + 1, m + 1):
-                    for k in range(window[0], window[1] + 1):
-                        rels.append(skein_commutator(GradedChord(a, c, k),
-                                                     GradedChord(b, d, 0)))
+    shifts = range(window[0], window[1] + 1)
+    rels = [skein_commutator(GradedChord(a, c, k), GradedChord(b, d))
+            for a, b, c, d in combinations(range(1, m + 1), 4) for k in shifts]
     # boundary pairs on one shared interval, shift differences across the window
-    chords = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
-    for (a, b) in chords:
-        for (c, d) in chords:
-            x0, y0 = GradedChord(a, b, 0), GradedChord(c, d, 0)
-            if crossing(x0, y0) != "shared-endpoint-interval":
-                continue
-            for k in range(window[0], window[1] + 1):
-                r = boundary_skein(GradedChord(a, b, k), y0)
-                if r.label in seen:
-                    continue
-                seen.add(r.label)
-                rels.append(r)
-    for (a, b) in chords:
-        for k in range(window[0], window[1] + 1):
-            r = self_skein(GradedChord(a, b, 0), GradedChord(a, b, k))
-            if r.label not in seen:
-                seen.add(r.label)
-                rels.append(r)
+    chords = [GradedChord(a, b) for a, b in combinations(range(1, m + 1), 2)]
+    rels += [boundary_skein(replace(x, shift=k), y)
+             for x in chords for y in chords if crossing(x, y) == SHARED for k in shifts]
+    rels += [self_skein(x, replace(x, shift=k)) for x in chords for k in shifts]
     return RelationSet(f"chord skein m={m}", tuple(rels), oracle_m=m, expand=_z_expander(m))
 
 
@@ -478,36 +454,22 @@ def pbw_relations(m: int) -> RelationSet:
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     rels: List[Relation] = []
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            for c in range(b + 1, m + 1):
-                rels.append(Relation(f"(Ls d) ({a},{b},{c})",
-                                     q_bracket(_F(b, c), _F(a, b), V), _F(a, c)))
-                rels.append(Relation(f"(Ls e) ({a},{b},{c})",
-                                     q_bracket(_F(a, c), _F(b, c), V),
-                                     NCPolynomial.zero()))
-                rels.append(Relation(f"(Ls f) ({a},{b},{c})",
-                                     q_bracket(_F(a, c), _F(a, b), V ** -1),
-                                     NCPolynomial.zero()))
-                for d in range(c + 1, m + 1):
-                    rels.append(Relation(
-                        f"(Ls a) ({a},{b},{c},{d})",
-                        q_bracket(_F(a, c), _F(b, d), ONE),
-                        (_F(a, d) * _F(b, c)).scale(V - V ** -1)))
-                    rels.append(Relation(f"(Ls b) ({a},{b},{c},{d})",
-                                         q_bracket(_F(a, b), _F(c, d), ONE),
-                                         NCPolynomial.zero()))
-                    rels.append(Relation(f"(Ls c) ({a},{b},{c},{d})",
-                                         q_bracket(_F(a, d), _F(b, c), ONE),
-                                         NCPolynomial.zero()))
-
-    def expand(g: Generator) -> NCPolynomial:
-        if g.family == "F" and isinstance(g.index, tuple):
-            i, j = g.index
-            return zab(i, j, g.shift, m)
-        raise ValueError(f"cannot expand generator {g}")
-
-    return RelationSet(f"pbw m={m}", tuple(rels), oracle_m=m, expand=expand)
+    for a, b, c in combinations(range(1, m + 1), 3):
+        rels.append(Relation(f"(Ls d) ({a},{b},{c})",
+                             q_bracket(_F(b, c), _F(a, b), V), _F(a, c)))
+        rels.append(Relation(f"(Ls e) ({a},{b},{c})",
+                             q_bracket(_F(a, c), _F(b, c), V), NCPolynomial.zero()))
+        rels.append(Relation(f"(Ls f) ({a},{b},{c})",
+                             q_bracket(_F(a, c), _F(a, b), V ** -1), NCPolynomial.zero()))
+        for d in range(c + 1, m + 1):
+            rels.append(Relation(f"(Ls a) ({a},{b},{c},{d})",
+                                 q_bracket(_F(a, c), _F(b, d), ONE),
+                                 (_F(a, d) * _F(b, c)).scale(V - V ** -1)))
+            rels.append(Relation(f"(Ls b) ({a},{b},{c},{d})",
+                                 q_bracket(_F(a, b), _F(c, d), ONE), NCPolynomial.zero()))
+            rels.append(Relation(f"(Ls c) ({a},{b},{c},{d})",
+                                 q_bracket(_F(a, d), _F(b, c), ONE), NCPolynomial.zero()))
+    return RelationSet(f"pbw m={m}", tuple(rels), oracle_m=m, expand=_z_expander(m))
 
 
 def pbw_normal_form(word) -> NCPolynomial:
@@ -520,16 +482,11 @@ def pbw_normal_form(word) -> NCPolynomial:
     if not isinstance(word, NCPolynomial):
         word = NCPolynomial.word([Generator("F", tuple(ij), 0) for ij in word])
 
-    def key(g: Generator):
-        return g.index
-
     def rewrite_pair(x: Generator, y: Generator) -> NCPolynomial:
         # returns X*Y as a combination with Y-side first
         (x1, x2), (y1, y2) = x.index, y.index
         X, Y = NCPolynomial.generator(x), NCPolynomial.generator(y)
-        if x1 == y1:                       # shared bottom interval
-            return (Y * X).scale(V ** -1)
-        if x2 == y2:                       # shared top interval
+        if x1 == y1 or x2 == y2:           # shared bottom or top interval
             return (Y * X).scale(V ** -1)
         if x1 == y2:                       # consecutive: resolve the finger
             return (Y * X).scale(V) + _F(y1, x2)
@@ -543,7 +500,7 @@ def pbw_normal_form(word) -> NCPolynomial:
         w, c = queue.pop()
         pos = -1
         for idx in range(len(w) - 2, -1, -1):
-            if key(w[idx]) > key(w[idx + 1]):
+            if w[idx].index > w[idx + 1].index:
                 pos = idx
                 break
         if pos < 0:

@@ -22,6 +22,13 @@ from .scalar import ONE, RationalFunctionV, V
 SELF_EXT = V ** -1 / (V ** 2 - ONE)
 
 
+def self_extension(k: int) -> Tuple[int, NCPolynomial]:
+    """(e, R) of the self-extension rule [x_n, x_{n+k}]_{v^e} = R for k >= 1:
+    e = 2(-1)^k, and R is SELF_EXT at k = 1 and 0 otherwise."""
+    rhs = NCPolynomial.scalar(SELF_EXT) if k == 1 else NCPolynomial.zero()
+    return 2 * (-1) ** k, rhs
+
+
 @dataclass(frozen=True)
 class FoliationData:
     """Integer weights on the marked intervals of a disk, summing to m - 2."""
@@ -77,10 +84,6 @@ class MarkedDisk:
     @property
     def m(self) -> int:
         return self.foliation.m
-
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(f"{self.family}{i}" for i in range(1, self.m + 1))
 
 
 def standard_form() -> MarkedDisk:
@@ -214,20 +217,32 @@ def index_identities(c1: GradedChord, c2: GradedChord, base: int) -> Tuple[int, 
     return i12, 1 - i12
 
 
-def _canonical_shared(x: GradedChord, y: GradedChord):
-    """Match (x, y) against the three one-endpoint patterns.
+def _reversed(name: str, x: GradedChord, y: GradedChord,
+              f: RationalFunctionV, rhs: NCPolynomial) -> Relation:
+    """The canonical y*x - f*x*y = R solved for x*y: [x, y]_{f^-1} = -f^{-1} R."""
+    finv = f.inverse()
+    return Relation(f"{name} [{x}, {y}] (reversed)",
+                    q_bracket(x.element(), y.element(), finv), -rhs.scale(finv))
 
-    Returns (d0, resolution) for the canonical shift difference d0 =
-    x.shift - y.shift, or None when the pair is in the reversed role
-    order.  The resolution is the third chord closing the triangle.
-    """
-    if x.a == y.b:            # x = (b,c) after y = (a,b): finger
-        return 0, zarc(y.a, x.b, x.shift)
-    if x.b == y.b and x.a < y.a:   # share top interval
-        return 1, zarc(x.a, y.a, x.shift)
-    if x.a == y.a and x.b < y.b:   # share bottom interval
-        return 1, zarc(x.b, y.b, y.shift)
-    return None
+
+def _boundary_rule(x: GradedChord, y: GradedChord):
+    """(f, R, label tag) of [x, y]_f = R for chords on one marked interval,
+    or None when the pair is in the reversed role order.  Each pattern fixes
+    the shift difference d0 at which R is the chord closing the triangle."""
+    if x.a == y.b:                   # x = (b,c) after y = (a,b): finger
+        d0, resolution = 0, zarc(y.a, x.b, x.shift)
+    elif x.b == y.b and x.a < y.a:   # share top interval
+        d0, resolution = 1, zarc(x.a, y.a, x.shift)
+    elif x.a == y.a and x.b < y.b:   # share bottom interval
+        d0, resolution = 1, zarc(x.b, y.b, y.shift)
+    else:
+        return None
+    d = x.shift - y.shift
+    if d == d0:
+        return V, resolution, "_v"
+    i = 1 - (d - d0)
+    r = -1 if (i % 2 == 1) == (i >= 1) else 1   # (-1)^i for i >= 1, else (-1)^(1+i)
+    return V ** r, NCPolynomial.zero(), f"_v^{r} (i={i})"
 
 
 def boundary_skein(x: GradedChord, y: GradedChord) -> Relation:
@@ -236,46 +251,27 @@ def boundary_skein(x: GradedChord, y: GradedChord) -> Relation:
     At the canonical shift difference the bracket [x, y]_v resolves to
     the third side of the triangle; at every other shift the pair
     v-commutes, with exponent r = (-1)^i for intersection index
-    i >= 1 and (-1)^(1+i) otherwise, where i = 1 - (d - d0).
+    i >= 1 and (-1)^(1+i) otherwise, where i = 1 - (d - d0).  A pair in
+    the reversed role order is solved from the canonical identity
+    [y, x]_f = R of (y, x): [x, y]_{f^-1} = -f^{-1} R.
     """
     if crossing(x, y) != SHARED:
         raise ValueError("chords do not meet on a single marked interval")
-    pat = _canonical_shared(x, y)
-    if pat is None:
-        # reversed role order: derive from the canonical relation
-        base = boundary_skein(y, x)
-        f = _bracket_deformation(base.lhs, y, x)
-        finv = f.inverse()
-        return Relation(
-            f"boundary skein [{x}, {y}] (reversed)",
-            q_bracket(x.element(), y.element(), finv),
-            -base.rhs.scale(finv))
-    d0, resolution = pat
-    d = x.shift - y.shift
-    if d == d0:
-        return Relation(f"boundary skein [{x}, {y}]_v",
-                        q_bracket(x.element(), y.element(), V), resolution)
-    i = 1 - (d - d0)
-    sign_of = lambda k: -1 if k % 2 else 1
-    r = sign_of(i) if i >= 1 else sign_of(1 + i)
-    return Relation(f"boundary skein [{x}, {y}]_v^{r} (i={i})",
-                    q_bracket(x.element(), y.element(), V ** r),
-                    NCPolynomial.zero())
-
-
-def _bracket_deformation(lhs: NCPolynomial, x: GradedChord, y: GradedChord
-                         ) -> RationalFunctionV:
-    """Recover f from lhs = x*y - f*y*x."""
-    w = (zarc(y.a, y.b, y.shift) * zarc(x.a, x.b, x.shift)).terms
-    (word, _), = w.items()
-    return -lhs.terms[word]
+    rule = _boundary_rule(x, y)
+    if rule is None:
+        f, rhs, _ = _boundary_rule(y, x)
+        return _reversed("boundary skein", x, y, f, rhs)
+    f, rhs, tag = rule
+    return Relation(f"boundary skein [{x}, {y}]{tag}",
+                    q_bracket(x.element(), y.element(), f), rhs)
 
 
 def self_skein(x: GradedChord, y: GradedChord) -> Relation:
     """The skein identity for two suspensions of the same chord.
 
-    [z_{c,n}, z_{c,n+k}] q-commutes with exponent 2(-1)^k for k >= 1,
-    with the scalar correction v^{-1}/(v^2 - 1) exactly at k = 1.
+    [z_{c,n}, z_{c,n+k}] obeys ``self_extension(k)`` for k >= 1 and
+    commutes for k = 0.  A negative k is solved from the identity
+    [y, x]_f = R of the pair in the other order: [x, y]_{f^-1} = -f^{-1} R.
     """
     if crossing(x, y) != EQUAL:
         raise ValueError("chords are not equal")
@@ -284,17 +280,11 @@ def self_skein(x: GradedChord, y: GradedChord) -> Relation:
         return Relation(f"self skein [{x}, {y}]_1",
                         q_bracket(x.element(), y.element(), ONE),
                         NCPolynomial.zero())
+    e, rhs = self_extension(abs(k))
     if k < 0:
-        base = self_skein(y, x)
-        f = _bracket_deformation(base.lhs, y, x)
-        finv = f.inverse()
-        return Relation(f"self skein [{x}, {y}] (reversed)",
-                        q_bracket(x.element(), y.element(), finv),
-                        -base.rhs.scale(finv))
-    f = V ** (2 * (-1) ** k)
-    rhs = NCPolynomial.scalar(SELF_EXT) if k == 1 else NCPolynomial.zero()
-    return Relation(f"self skein [{x}, {y}]_v^{2 * (-1) ** k}",
-                    q_bracket(x.element(), y.element(), f), rhs)
+        return _reversed("self skein", x, y, V ** e, rhs)
+    return Relation(f"self skein [{x}, {y}]_v^{e}",
+                    q_bracket(x.element(), y.element(), V ** e), rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,38 @@ def test_largest_prime_below_the_bound_is_accepted(capsys):
     assert cli.MAX_Q == 2 ** 32
 
 
+def test_exact_results_past_the_int_str_limit_are_printed(capsys):
+    """z[1,0]^61 at the largest q has coefficients of more than 4300 digits,
+    Python's default int-to-str limit; they print in full, and the limit
+    is back in place when main returns."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    products = []
+    for lhs, rhs in ((60, 1), (30, 31)):
+        code, out, _ = run(capsys, "multiply", " ".join(["z[1,0]"] * lhs),
+                           " ".join(["z[1,0]"] * rhs), "--m", "2", "--q", "4294967291",
+                           "--format", "json")
+        assert code == 0
+        products.append(json.loads(out)["products"])
+    assert products[0] == products[1]
+    assert max(len(t["coeff"]["a"]) for t in products[0][0]["terms"]) > 4300
+    code, out, _ = run(capsys, "multiply", "z[1,0]", "1e4300", "--m", "3", "--q", "2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["products"][0]["terms"][0]["coeff"]["a"] == "1" + "0" * 4300
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("token", ["1e5000", "1e-5000", "1e99999999", "7" * 5000,
+                                   "1/" + "3" * 5000])
+def test_coefficient_past_the_digit_limit_is_a_usage_error(capsys, token):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "multiply", "z[1,0]", token, "--m", "3", "--q", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "too large" in err
+
+
 def test_bad_arc_is_a_usage_error(capsys):
     code, _, err = run(capsys, "multiply", "z[(1,5),0]", "z[1,0]", "--m", "3")
     assert code == 2
