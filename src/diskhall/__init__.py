@@ -12,7 +12,6 @@ from .repq import DerivedCategory, DerivedObject, FiniteField
 from .scalar import ONE, Q, V, QuadraticScalar, RationalFunctionV, evaluate_at
 from .surface import (FoliationData, GluingSpec, GradedChord, MarkedDisk,
                       SurfaceConfig, angle, boundary_skein, crossing, glue,
-                      index_identities, load_config, self_skein, skein_commutator,
-                      span, standard_form)
+                      load_config, self_skein, skein_commutator, span, standard_form)
 
 __version__ = "0.1.0"

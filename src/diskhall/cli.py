@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-import traceback
 from fractions import Fraction
 
 from .freealg import NCPolynomial, zab, zgen
@@ -172,7 +171,9 @@ def cmd_verify_skein(args) -> int:
     return _finish(_report_payload("verify-skein", reports), args)
 
 
-_GEN_RE = re.compile(r"([A-Za-z]+)\[(?:\((\d+),(\d+)\)|(\d+)),(-?\d+)\]")
+# a pattern, not a compiled one: only ``multiply`` parses generators, and re
+# caches what it compiles
+_GEN_RE = r"([A-Za-z]+)\[(?:\((\d+),(\d+)\)|(\d+)),(-?\d+)\]"
 
 
 def _parse_expr(text: str, m: int) -> NCPolynomial:
@@ -181,7 +182,7 @@ def _parse_expr(text: str, m: int) -> NCPolynomial:
     if not toks:
         raise UsageError("empty expression")
     for tok in toks:
-        mm = _GEN_RE.fullmatch(tok)
+        mm = re.fullmatch(_GEN_RE, tok)
         if mm:
             fam, a, b, i, n = mm.groups()
             if fam != "z":
@@ -362,6 +363,7 @@ def main(argv=None) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except Exception as ex:
+        import traceback  # only a crash needs it; a successful run skips the import
         traceback.print_exc()
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 3

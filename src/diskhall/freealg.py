@@ -14,7 +14,6 @@ relations is done by evaluating both sides in a Hall algebra.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple, Union
 
@@ -29,18 +28,68 @@ def _as_scalar(c: ScalarLike) -> RationalFunctionV:
     return RationalFunctionV.from_rational(c)
 
 
-@dataclass(frozen=True, order=False)
+class Value:
+    """An immutable value whose fields are the names in its class's ``__slots__``.
+
+    A subclass sets each field once, in ``__init__``, with
+    ``object.__setattr__``.  It is equal to an object of its own class with
+    equal fields (never to a tuple) and hashes as the tuple of its fields.
+    Written by hand, not generated by a class decorator: every CLI run is a
+    fresh process, and that module would cost each one about 13 ms of
+    imports and generated code.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, *_):
+        raise AttributeError("immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
 class Generator:
     """A shifted abstract generator, e.g. z_{i,n} or E_{i,n}.
 
     ``family`` names the alphabet ("z", "E", "F", "G", ...), ``index`` is
     an int (vertex/arc number) or an int tuple (arc endpoints), and
-    ``shift`` is the suspension degree n.
+    ``shift`` is the suspension degree n.  Immutable and hashed once, as
+    the tuple of its fields; not a tuple itself, so it is never taken for
+    a word.
     """
 
-    family: str
-    index: Union[int, Tuple[int, ...]]
-    shift: int
+    __slots__ = ("family", "index", "shift", "_hash")
+
+    def __init__(self, family: str, index: Union[int, Tuple[int, ...]], shift: int):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "_hash", hash((family, index, shift)))
+
+    def __setattr__(self, *_):
+        raise AttributeError("immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return (self.family == other.family and self.index == other.index
+                and self.shift == other.shift)
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         idx = self.index if isinstance(self.index, tuple) else (self.index,)
@@ -52,6 +101,8 @@ class Generator:
     def __str__(self):
         idx = ",".join(map(str, self.index)) if isinstance(self.index, tuple) else str(self.index)
         return f"{self.family}[{idx},{self.shift}]"
+
+    __repr__ = __str__
 
 
 Word = Tuple[Generator, ...]
@@ -276,13 +327,15 @@ def zarc(a: int, b: int, n: int) -> NCPolynomial:
     return NCPolynomial.generator(Generator("z", (a, b), n))
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value):
     """A labeled identity lhs = rhs between free-algebra elements."""
 
-    label: str
-    lhs: NCPolynomial
-    rhs: NCPolynomial
+    __slots__ = ("label", "lhs", "rhs")
+
+    def __init__(self, label: str, lhs: NCPolynomial, rhs: NCPolynomial):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __str__(self):
         return f"{self.label}: {self.lhs} = {self.rhs}"

@@ -10,11 +10,10 @@ through the Hall-algebra oracle with ``verify_relation_set``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .freealg import (Generator, NCPolynomial, Relation, egen, iterated_bracket,
+from .freealg import (Generator, NCPolynomial, Relation, Value, egen, iterated_bracket,
                       q_bracket, zab, zarc, zgen)
 from .hall import HallAlgebra, identity_report
 from .scalar import ONE, V
@@ -26,8 +25,7 @@ Window = Tuple[int, int]
 DEFAULT_WINDOW: Window = (-2, 3)
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(Value):
     """A named batch of labeled identities.
 
     ``generators`` are the (family, index) pairs its relations use.
@@ -36,16 +34,19 @@ class RelationSet:
     ``oracle_m``) are emission-only and cannot be verified.
     """
 
-    name: str
-    relations: Tuple[Relation, ...]
-    oracle_m: Optional[int] = None
-    expand: Optional[Callable[[Generator], NCPolynomial]] = None
+    __slots__ = ("name", "relations", "oracle_m", "expand")
 
-    def __post_init__(self):
-        labels = [r.label for r in self.relations]
+    def __init__(self, name: str, relations: Tuple[Relation, ...],
+                 oracle_m: Optional[int] = None,
+                 expand: Optional[Callable[[Generator], NCPolynomial]] = None):
+        labels = [r.label for r in relations]
         if len(set(labels)) != len(labels):
             dup = sorted({l for l in labels if labels.count(l) > 1})
             raise ValueError(f"duplicate relation labels: {dup[:3]}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "oracle_m", oracle_m)
+        object.__setattr__(self, "expand", expand)
 
     @property
     def generators(self) -> Tuple[Tuple[str, object], ...]:
@@ -311,9 +312,9 @@ def chord_skein_set(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
             for a, b, c, d in combinations(range(1, m + 1), 4) for k in shifts]
     # boundary pairs on one shared interval, shift differences across the window
     chords = [GradedChord(a, b) for a, b in combinations(range(1, m + 1), 2)]
-    rels += [boundary_skein(replace(x, shift=k), y)
+    rels += [boundary_skein(GradedChord(x.a, x.b, k), y)
              for x in chords for y in chords if crossing(x, y) == SHARED for k in shifts]
-    rels += [self_skein(x, replace(x, shift=k)) for x in chords for k in shifts]
+    rels += [self_skein(x, GradedChord(x.a, x.b, k)) for x in chords for k in shifts]
     return RelationSet(f"chord skein m={m}", tuple(rels), oracle_m=m, expand=_z_expander(m))
 
 
@@ -385,8 +386,8 @@ def naive_presentation(config: Union[SurfaceConfig, dict],
         warnings.warn("configuration does not have enough marked intervals: "
                       "some disk's marked intervals are identified by the gluing")
     if len(config.disks) == 1 and not config.gluings:
-        return replace(minimal_disk_relations(config.disks[0], window),
-                       name="naive presentation")
+        rs = minimal_disk_relations(config.disks[0], window)
+        return RelationSet("naive presentation", rs.relations, rs.oracle_m, rs.expand)
 
     rels: List[Relation] = []
     for d, disk in enumerate(config.disks):

@@ -57,7 +57,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalar import prime_power_decompose
@@ -255,14 +254,29 @@ def _intervals(m: int, rank) -> Tuple[Tuple[int, int], ...]:
 # derived objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DerivedObject:
     """A multiset of shifted interval modules (a, b, n), canonically sorted.
 
-    The empty multiset is the zero object.
+    The empty multiset is the zero object.  Immutable and hashed once, as
+    the 1-tuple of its field.
     """
 
-    summands: Tuple[Tuple[int, int, int], ...]
+    __slots__ = ("summands", "_hash")
+
+    def __init__(self, summands: Tuple[Tuple[int, int, int], ...]):
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "_hash", hash((summands,)))
+
+    def __setattr__(self, *_):
+        raise AttributeError("immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not DerivedObject:
+            return NotImplemented
+        return self.summands == other.summands
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def of(items: Iterable[Tuple[int, int, int]]) -> "DerivedObject":
@@ -292,6 +306,8 @@ class DerivedObject:
             return "0"
         return " + ".join(
             f"M[{a},{b})" + (f"[{n}]" if n else "") for (a, b, n) in self.summands)
+
+    __repr__ = __str__
 
 
 # -- two-term complexes of projectives --------------------------------------

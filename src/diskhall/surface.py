@@ -12,10 +12,9 @@ arcs into quiver generators and evaluating in a Hall algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .freealg import NCPolynomial, Relation, q_bracket, zarc
+from .freealg import NCPolynomial, Relation, Value, q_bracket, zarc
 from .scalar import ONE, RationalFunctionV, V
 
 # the scalar correction v^{-1}/(v^2 - 1) at shift difference 1
@@ -29,22 +28,21 @@ def self_extension(k: int) -> Tuple[int, NCPolynomial]:
     return 2 * (-1) ** k, rhs
 
 
-@dataclass(frozen=True)
-class FoliationData:
+class FoliationData(Value):
     """Integer weights on the marked intervals of a disk, summing to m - 2."""
 
-    m: int
-    h: Tuple[int, ...]
+    __slots__ = ("m", "h")
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"need at least 2 marked intervals, got m={self.m}")
-        object.__setattr__(self, "h", tuple(self.h))
-        if len(self.h) != self.m:
-            raise ValueError(f"foliation vector has length {len(self.h)}, expected {self.m}")
-        if sum(self.h) != self.m - 2:
-            raise ValueError(
-                f"foliation weights must sum to m - 2 = {self.m - 2}, got {sum(self.h)}")
+    def __init__(self, m: int, h: Sequence[int]):
+        if m < 2:
+            raise ValueError(f"need at least 2 marked intervals, got m={m}")
+        h = tuple(h)
+        if len(h) != m:
+            raise ValueError(f"foliation vector has length {len(h)}, expected {m}")
+        if sum(h) != m - 2:
+            raise ValueError(f"foliation weights must sum to m - 2 = {m - 2}, got {sum(h)}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "h", h)
 
     def at(self, i: int) -> int:
         """Weight at cyclic index i (1-based, any integer accepted)."""
@@ -74,12 +72,14 @@ def span(j: int, k: int, e: FoliationData) -> int:
     return sum(1 - e.at(l + 1) for l in range(j0, k0))
 
 
-@dataclass(frozen=True)
-class MarkedDisk:
+class MarkedDisk(Value):
     """A disk with m marked intervals, foliation data, and a generator family."""
 
-    foliation: FoliationData
-    family: str = "E"
+    __slots__ = ("foliation", "family")
+
+    def __init__(self, foliation: FoliationData, family: str = "E"):
+        object.__setattr__(self, "foliation", foliation)
+        object.__setattr__(self, "family", family)
 
     @property
     def m(self) -> int:
@@ -91,17 +91,17 @@ def standard_form() -> MarkedDisk:
     return MarkedDisk(FoliationData(4, (0, 1, 0, 1)))
 
 
-@dataclass(frozen=True)
-class GradedChord:
+class GradedChord(Value):
     """A chord between marked intervals a < b, suspended by ``shift``."""
 
-    a: int
-    b: int
-    shift: int = 0
+    __slots__ = ("a", "b", "shift")
 
-    def __post_init__(self):
-        if not 1 <= self.a < self.b:
-            raise ValueError(f"need 1 <= a < b, got ({self.a}, {self.b})")
+    def __init__(self, a: int, b: int, shift: int = 0):
+        if not 1 <= a < b:
+            raise ValueError(f"need 1 <= a < b, got ({a}, {b})")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "shift", shift)
 
     def element(self) -> NCPolynomial:
         return zarc(self.a, self.b, self.shift)
@@ -110,20 +110,20 @@ class GradedChord:
         return f"z[({self.a},{self.b}),{self.shift}]"
 
 
-@dataclass(frozen=True)
-class GluingSpec:
+class GluingSpec(Value):
     """Glue ``left_arc`` of the left disk onto ``right_arc`` of the right disk."""
 
-    left: MarkedDisk
-    left_arc: int
-    right: MarkedDisk
-    right_arc: int
+    __slots__ = ("left", "left_arc", "right", "right_arc")
 
-    def __post_init__(self):
-        if not 1 <= self.left_arc <= self.left.m:
-            raise ValueError(f"left arc {self.left_arc} out of range 1..{self.left.m}")
-        if not 1 <= self.right_arc <= self.right.m:
-            raise ValueError(f"right arc {self.right_arc} out of range 1..{self.right.m}")
+    def __init__(self, left: MarkedDisk, left_arc: int, right: MarkedDisk, right_arc: int):
+        if not 1 <= left_arc <= left.m:
+            raise ValueError(f"left arc {left_arc} out of range 1..{left.m}")
+        if not 1 <= right_arc <= right.m:
+            raise ValueError(f"right arc {right_arc} out of range 1..{right.m}")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "left_arc", left_arc)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "right_arc", right_arc)
 
 
 def normalized_gluing(spec: GluingSpec):
@@ -206,17 +206,6 @@ def skein_commutator(x: GradedChord, y: GradedChord) -> Relation:
     return Relation(f"skein [{x}, {y}]_1 (k={k})", lhs, rhs)
 
 
-def index_identities(c1: GradedChord, c2: GradedChord, base: int) -> Tuple[int, int]:
-    """Intersection indices (i(c1,c2), i(c2,c1)) from the unshifted value.
-
-    ``base`` is i(c1, c2) for the shift-0 representatives; shifting obeys
-    i(c1[n], c2[k]) = i(c1, c2) + n - k, and the reversed index is the
-    complement 1 - i(c1, c2).
-    """
-    i12 = base + c1.shift - c2.shift
-    return i12, 1 - i12
-
-
 def _reversed(name: str, x: GradedChord, y: GradedChord,
               f: RationalFunctionV, rhs: NCPolynomial) -> Relation:
     """The canonical y*x - f*x*y = R solved for x*y: [x, y]_{f^-1} = -f^{-1} R."""
@@ -291,12 +280,18 @@ def self_skein(x: GradedChord, y: GradedChord) -> Relation:
 # surface configurations (collections of disks with gluings)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceConfig:
-    """Disks plus pairwise arc gluings; the ribbon data of a surface."""
+class SurfaceConfig(Value):
+    """Disks plus pairwise arc gluings; the ribbon data of a surface.
 
-    disks: Tuple[MarkedDisk, ...]
-    gluings: Tuple[Tuple[int, int, int, int], ...]  # (left disk, arc, right disk, arc)
+    Each gluing is a tuple (left disk, arc, right disk, arc).
+    """
+
+    __slots__ = ("disks", "gluings")
+
+    def __init__(self, disks: Tuple[MarkedDisk, ...],
+                 gluings: Tuple[Tuple[int, int, int, int], ...]):
+        object.__setattr__(self, "disks", disks)
+        object.__setattr__(self, "gluings", gluings)
 
     def interval_classes(self) -> Dict[Tuple[int, int], int]:
         """Union-find classes of marked intervals under the gluings.

@@ -1,7 +1,12 @@
-"""Every module-level import of a package module is used in that module."""
+"""Every module-level import of a package module is used in that module, and
+importing the CLI loads no standard module that only a crash or a class
+decorator would need."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -26,3 +31,15 @@ def test_module_level_imports_are_used(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_traceback():
+    # every CLI run is a fresh process, so these ~16 ms of imports would be
+    # paid by each one; -S keeps site's own imports out of the count
+    src = pathlib.Path(diskhall.__file__).parent.parent
+    code = ("import sys, diskhall.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

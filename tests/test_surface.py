@@ -10,7 +10,7 @@ from diskhall.scalar import ONE, V
 from diskhall.surface import (DISJOINT, EQUAL, INTERLEAVED, SHARED, FoliationData,
                               GluingSpec, GradedChord, MarkedDisk, SurfaceConfig,
                               angle, boundary_skein, crossing, glue,
-                              index_identities, load_config, normalized_gluing,
+                              load_config, normalized_gluing,
                               self_skein, skein_commutator, span, standard_form)
 
 
@@ -168,11 +168,6 @@ def test_self_skein():
     rm = self_skein(x, GradedChord(1, 3, -2))
     assert rm.rhs.is_zero()
     assert _check_reversed(self_skein, EQUAL) == 150
-
-
-def test_index_identities():
-    i12, i21 = index_identities(GradedChord(1, 3, 2), GradedChord(2, 4, 1), 0)
-    assert (i12, i21) == (1, 0)
 
 
 def test_config_validation_and_loading():
