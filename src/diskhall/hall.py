@@ -25,9 +25,13 @@ of w is a star onto X.  The cone of w is the sum of the untouched summands
 of Y and the cone of the star.  The diagonal torus of Aut Y x Aut X scales
 the blocks, preserves the cone and is transitive on the morphisms of one
 support, so each support needs one (memoised) cone, with every block 1,
-whatever q is.  The census over support patterns sees only the summands
-that carry a block, at lowest shift 0, so sweeps that differ by untouched
-summands or by a translation share it.  The per-morphism sweep is kept in
+whatever q is.  One pass over the summands Y_i of Y reads the one degree
+of each Hom(Y_i, X[*]) (``DerivedCategory._pair_dims``): it gives the Hom
+dims the sweep's constant needs and splits Y into the summands that carry
+a block, Hom(Y_i[-1], X) != 0, and the rest.  Only the touched ones go to
+the census, memoised at lowest shift 0, so sweeps that differ by untouched
+summands or by a translation share it; the rest pass into every cone
+unchanged.  The per-morphism sweep is kept in
 ``tests/test_hall_oracle.py``.
 
 Any other left factor is a word in its summands (``_word_product``).  By
@@ -49,17 +53,17 @@ The kernel works in the basis u_Z = a(Z)[Z], where a(Y) and a(L) cancel:
 
     [X].u_Y = sum_L N_L / (a(X) |Hom(Y,X)| {Y,X}) u_L,
 
-so a sweep needs a(X) of its left factor, a letter of a word, and one
-``dhom_dims(Y, X)``, which gives dim Hom(Y,X), {Y,X} and <Y,X>.  End X is
-F_q and X has no negative-degree self-Hom, so a(X) = q - 1 in closed form;
+so a sweep needs a(X) of its left factor, a letter of a word, and, from its
+one pass, dim Hom(Y,X), {Y,X} and <Y,X>.  End X is F_q and X has no
+negative-degree self-Hom, so a(X) = q - 1 in closed form;
 a(Z) of other classes is memoised modulo the shift as (|Aut Z|, e),
 meaning |Aut Z| q^e.  Every u_L of a sweep has the same constant times
 N_L, n q^t / d in ints; the twist's sqrt(q) goes to the B half, or into A
 when q is a square; one gcd reduces the result.  With no Hom block, the
 sweep's one morphism is w = 0, with cone X + Y.  A term meets a(L) only
 where a HallElement is built (``_element``), ``hall_product`` divides the
-coefficients of y by a(Y) on entry, and the walk starts from [0] = u_0.  ``structure_constant`` gives
-one F^L_{X,Y} as a Fraction.
+coefficients of y by a(Y) on entry, and the walk starts from [0] = u_0.
+``structure_constant`` gives one F^L_{X,Y} as a Fraction.
 
 Free-algebra expressions are evaluated here by sending each quiver
 generator z_{i,n} to the class of the shifted simple S_i[n] (Ringel, Hall
@@ -75,14 +79,23 @@ walk applies g's image: each word of the image, compiled once per distinct
 generator and call as a sorted program of reversed words, is multiplied
 onto the parent value letter by letter, right to left, so a single basis
 class stays on the left of every product, and the words are summed with
-their coefficients.
+their coefficients.  The walk is shared by every call on the algebra:
+programs are interned by their content (class ids and coefficients), and
+the value of a trie node is memoised under its parent node and the
+program applied, so under the path of programs from u_0.  The cyclic
+families of a disk rotate the relations of its minimal presentation, so
+they reuse its prefixes; two relation sets that give one generator
+different images apply different programs, and share nothing there.
 Inside the kernel an element is (d, ((i, A, B), ...)), the sum of
 (A + B sqrt(q))/d u_L with i the class id of L and Python ints, reduced by
 one gcd per product (``_combine``); the product cache stores the same form
-under the pair of ids.  The algebra gives each isoclass a small int id, and
-memoises its translates, so every dict of the kernel hashes ints; a
+under the pair of ids.  The id of an isoclass carries its lowest summand
+shift s: it is s * 2^32 + base, with base the index of its translate to
+lowest shift 0 in the class table, so translation by k adds k * 2^32,
+however large k is, and the zero class is id 0 at every shift (the cone of
+an isomorphism is 0).  Every dict of the kernel hashes ints; a
 DerivedObject is built only at the edges (``_element``, ``hall_product``,
-``structure_constant``) and for the Hom dims of a new sweep or class.
+``structure_constant``) and for a(Z) of a new class.
 QuadraticScalar coefficients are built only for the results, and
 ``hall_product`` goes through the same kernel.  The per-word route on
 QuadraticScalar and the route that expands every polynomial in Q(v) first
@@ -228,6 +241,11 @@ def _brace_exponent(dims: Dict[int, int]) -> int:
     return sum((-1) ** (k % 2) * dim for k, dim in dims.items() if k < 0)
 
 
+#: the id step of the shift [1]: a nonzero class of lowest summand shift s
+#: has the id s * _STEP + base, with base < _STEP
+_STEP = 1 << 32
+
+
 def _part(c: Tuple[int, int, int], x: Numerators):
     """c * x as a part for ``HallAlgebra._combine``, c = (A, B, d) meaning
     (A + B sqrt(q))/d."""
@@ -242,40 +260,46 @@ class HallAlgebra:
         self.m = m
         self.q = q
         self.category = DerivedCategory(m, q)
-        # the class table: id <-> summands, and each class's lowest summand
-        # shift (None for 0)
-        self._ids: Dict[Tuple, int] = {}
-        self._summands: List[Tuple] = []
-        self._low: List[Optional[int]] = []
-        # (id, k) -> id of the class translated by k
-        self._shifts: Dict[Tuple[int, int], int] = {}
+        # the class table: a class of lowest summand shift s has the id
+        # s * _STEP + base, where base indexes its translate to lowest
+        # shift 0; the zero class is id 0 = base 0
+        self._bases: Dict[Tuple, int] = {(): 0}
+        self._base_summands: List[Tuple] = [()]
         # (id of X, id of Y) -> (d, ((id of L, A, B), ...))
         self._product_cache: Dict[Tuple[int, int], Numerators] = {}
-        # id of Z at lowest shift 0 -> (|Aut Z|, e) with a(Z) = |Aut Z| q^e
+        # base of Z -> (|Aut Z|, e) with a(Z) = |Aut Z| q^e
         self._a_memo: Dict[int, Tuple[int, int]] = {}
+        # the shared walk: image program content -> its id; (walk node id,
+        # program id) -> (id of the child node, the child's value); node 0
+        # is u_0
+        self._programs: Dict[Tuple, int] = {}
+        self._walk: Dict[Tuple[int, int], Tuple[int, Numerators]] = {}
+        # Q(v) coefficient -> (A, B, d): its value (A + B sqrt(q))/d
+        self._scalars: Dict[RationalFunctionV, Tuple[int, int, int]] = {}
 
     # -- the class table -----------------------------------------------------
 
     def _id(self, summands: Tuple) -> int:
         """The id of the class with these (sorted) summands."""
-        i = self._ids.get(summands)
-        if i is None:
-            i = self._ids[summands] = len(self._summands)
-            self._summands.append(summands)
-            self._low.append(min(n for (_a, _b, n) in summands) if summands else None)
-        return i
+        if not summands:
+            return 0
+        s = min([n for (_a, _b, n) in summands])
+        if s:  # a uniform shift keeps the order of the summands
+            summands = tuple([(a, b, n - s) for (a, b, n) in summands])
+        base = self._bases.get(summands)
+        if base is None:
+            base = self._bases[summands] = len(self._base_summands)
+            self._base_summands.append(summands)
+        return s * _STEP + base
 
-    def _shift(self, i: int, k: int) -> int:
-        """The id of class i translated by k."""
-        j = self._shifts.get((i, k))
-        if j is None:
-            # a uniform shift keeps the order of the summands
-            j = self._shifts[i, k] = self._id(
-                tuple([(a, b, n + k) for (a, b, n) in self._summands[i]]))
-        return j
+    def _summands(self, i: int) -> Tuple:
+        """The (sorted) summands of the class of id i."""
+        s, base = divmod(i, _STEP)
+        summands = self._base_summands[base]
+        return tuple([(a, b, n + s) for (a, b, n) in summands]) if s else summands
 
     def _object(self, i: int) -> DerivedObject:
-        return DerivedObject(self._summands[i])
+        return DerivedObject(self._summands(i))
 
     # -- scalar-valued ingredients ------------------------------------------
 
@@ -284,15 +308,13 @@ class HallAlgebra:
         class Z of id i.
 
         Both factors are shift-invariant, so they are computed and memoised
-        for Z translated to lowest summand shift 0."""
-        low = self._low[i]
-        if low:
-            i = self._shift(i, -low)
-        out = self._a_memo.get(i)
+        for Z translated to lowest summand shift 0, the base of its id."""
+        base = i % _STEP
+        out = self._a_memo.get(base)
         if out is None:
-            Z = self._object(i)
-            out = self._a_memo[i] = (self.category.aut_count(Z),
-                                     _brace_exponent(self.category.dhom_dims(Z, Z)))
+            Z = self._object(base)
+            out = self._a_memo[base] = (self.category.aut_count(Z),
+                                        _brace_exponent(self.category.dhom_dims(Z, Z)))
         return out
 
     def structure_constant(self, X: DerivedObject, Y: DerivedObject,
@@ -321,19 +343,22 @@ class HallAlgebra:
         cached = self._product_cache.get(key)
         if cached is not None:
             return cached
-        s = min((n for n in (self._low[x], self._low[y]) if n is not None), default=0)
-        if len(self._summands[x]) != 1:
+        if len(self._base_summands[x % _STEP]) != 1:
             out = self._word_product(x, y)
-        elif s == 0:
-            out = self._sweep(x, y)
         else:
-            x, y = self._shift(x, -s), self._shift(y, -s)
-            base = self._product_cache.get((x, y))
-            if base is None:
-                base = self._product_cache[x, y] = self._sweep(x, y)
-            # shifting every L by s keeps the order of the terms
-            d, terms = base
-            out = (d, tuple([(self._shift(L, s), a, b) for L, a, b in terms]))
+            # X is a letter, so not 0; the shift of a class is id // _STEP
+            shift = min(x, y or x) // _STEP * _STEP
+            if not shift:
+                out = self._sweep(x, y)
+            else:
+                x, y = x - shift, y and y - shift
+                base = self._product_cache.get((x, y))
+                if base is None:
+                    base = self._product_cache[x, y] = self._sweep(x, y)
+                # shifting every L by the same amount keeps the order of
+                # the terms; the zero class is not shifted
+                d, terms = base
+                out = (d, tuple([(L and L + shift, a, b) for L, a, b in terms]))
         self._product_cache[key] = out
         return out
 
@@ -349,39 +374,61 @@ class HallAlgebra:
         [X]*u_Y = [X_1]*(...*([X_r]*u_Y)) / (c a(X)).
         """
         q = self.q
-        acc, unit = (1, ((y, 1, 0),)), (1, ((self._id(()), 1, 0),))
+        acc, unit = (1, ((y, 1, 0),)), (1, ((0, 1, 0),))
         # right to left: X_r is applied first
-        for s in sorted(self._summands[x], key=lambda s: (-s[2], s[0], s[1]), reverse=True):
+        for s in sorted(self._summands(x), key=lambda s: (-s[2], s[0], s[1]), reverse=True):
             z = self._id((s,))
             acc, unit = self._left_mul(z, acc), self._left_mul(z, unit)
         d, terms = unit
         if len(terms) != 1 or terms[0][0] != x or (terms[0][1] and terms[0][2]):
-            raise ArithmeticError(f"the word of {self._summands[x]} is not one term")
+            raise ArithmeticError(f"the word of {self._summands(x)} is not one term")
         _x, a, b = terms[0]
         aut, e = self._a(x)
         den = aut * q ** max(e, 0) * (a or b * q)  # 1/(b sqrt(q)) = sqrt(q)/(b q)
         num = d * q ** max(-e, 0)
         d, terms = self._combine(den, [(0, num, acc) if b else (num, 0, acc)])
-        return d, tuple(sorted(terms, key=lambda t: self._summands[t[0]]))
+        return d, tuple(sorted(terms, key=lambda t: self._summands(t[0])))
 
     def _sweep(self, x: int, y: int) -> Numerators:
         """[X]*u_Y for a letter X, with u_Y = a(Y)[Y], in the u basis: a(Y)
         and a(L) cancel from the Riedtmann formula, so every u_L has the
         constant N_L q^{<Y,X>/2} / (a(X) |Hom(Y,X)| {Y,X}), and
-        a(X) = q - 1 (End X = F_q, and X has no negative-degree self-Hom)."""
+        a(X) = q - 1 (End X = F_q, and X has no negative-degree self-Hom).
+
+        One pass over the summands Y_i of Y reads the one degree of each
+        Hom(Y_i, X[*]) (``_pair_dims``): it sums the Euler form, dim Hom(Y,X)
+        and {Y,X}, and splits Y[-1] into the summands with a Hom block to X,
+        those with Hom(Y_i, X[1]) != 0, which go to the census, and the
+        rest, which pass into every cone as Y_i."""
         q = self.q
-        (letter,), ys = self._summands[x], self._summands[y]
+        letter = self._summands(x)[0]
+        c, d, k = letter
+        pair_dims = self.category._pair_dims
+        touched, rest = [], []
+        euler = hom = brace = 0  # <Y,X>, dim Hom(Y,X) and e with {Y,X} = q^e
+        for (a, b, n) in self._summands(y):
+            deg = pair_dims(a, b, c, d, k - n)
+            if deg == 1:
+                touched.append((a, b, n - 1))
+            else:
+                rest.append((a, b, n))
+            if deg is not None:
+                sign = -1 if deg % 2 else 1
+                euler += sign
+                if deg == 0:
+                    hom += 1
+                elif deg < 0:
+                    brace += sign
         # N_L: how many w in Hom(Y[-1], X) complete to Y[-1] -> X -> L
-        counts = self.category.cone_counts(tuple([(a, b, n - 1) for (a, b, n) in ys]), letter)
-        dims = self.category.dhom_dims(self._object(y), self._object(x))
+        counts = self.category.cone_counts(tuple(touched), letter)
         # the twist q^{<Y,X>/2} = q^half sqrt(q)^odd
-        half, odd = divmod(sum((-1) ** (k % 2) * n for k, n in dims.items()), 2)
-        t = half - dims.get(0, 0) - _brace_exponent(dims)
+        half, odd = divmod(euler, 2)
+        t = half - hom - brace
         d, scale = (q - 1) * q ** max(0, -t), q ** max(0, t)
         root = math.isqrt(q)
         if odd and root * root == q:  # sqrt(q) is an integer: fold it into A
             scale, odd = scale * root, 0
-        nums = sorted((L, n * scale) for L, n in counts.items())
+        nums = sorted((tuple(sorted(rest + list(cone))), n * scale) for cone, n in counts.items())
         g = math.gcd(d, *(n for _L, n in nums))
         if odd:
             return d // g, tuple([(self._id(L), 0, n // g) for L, n in nums])
@@ -454,41 +501,42 @@ class HallAlgebra:
         # Words are multiplied right to left: keeping a single basis class
         # on the left makes the Hom-set sweeps inside the structure
         # constants exponentially smaller for long words.  In the trie
-        # order of the reversed words, stack[k] is the value of the first k
-        # letters of the current reversed word, so each trie node costs one
-        # application of its generator's image.
+        # order of the reversed words, stack[k] is the walk node (id,
+        # value) of the first k letters of the current reversed word, so
+        # each trie node costs one application of its generator's image,
+        # or none if an earlier call made the same one (``_apply``).
         entries = list(_trie_order((word[::-1], (i, coeff)) for i, p in enumerate(polys)
                                    for word, coeff in p.terms.items()))
-        scalars = {}  # Q(v) coefficient -> (A, B, d): its value (A + B sqrt(q))/d
         # every image is compiled once, in order of first occurrence and
         # before the first product, so a generator with no image, or an
         # image that is not in the quiver generators, fails early
-        programs = {g: self._program(expand(g) if expand else NCPolynomial.generator(g),
-                                     scalars)
+        programs = {g: self._program(expand(g) if expand else NCPolynomial.generator(g))
                     for g in dict.fromkeys(g for _k, rev, _c in entries for g in rev)}
         totals: List[Numerators] = [(1, ()) for _ in polys]
-        stack = [(1, ((self._id(()), 1, 0),))]  # [0] = u_0: a(0) = 1
+        stack = [(0, (1, ((0, 1, 0),)))]  # [0] = u_0: a(0) = 1
         for k, rev, (i, coeff) in entries:
             del stack[k + 1:]
             for g in rev[k:]:
-                stack.append(self._run(programs[g], stack[-1]))
+                stack.append(self._apply(programs[g], stack[-1]))
             totals[i] = self._combine(1, [(1, 0, totals[i]),
-                                          _part(self._scalar(coeff, scalars), stack[-1])])
+                                          _part(self._scalar(coeff), stack[-1][1])])
         return [self._element(t) for t in totals]
 
-    def _scalar(self, coeff: RationalFunctionV, scalars: Dict):
-        """coeff at v = sqrt(q) as (A, B, d), memoised in ``scalars``."""
-        c = scalars.get(coeff)
+    def _scalar(self, coeff: RationalFunctionV):
+        """coeff at v = sqrt(q) as (A, B, d), memoised."""
+        c = self._scalars.get(coeff)
         if c is None:
             v = evaluate_at(coeff, self.q)
             d, [(a, b)] = _common_denominator([(v.a, v.b)])
-            c = scalars[coeff] = (a, b, d)
+            c = self._scalars[coeff] = (a, b, d)
         return c
 
-    def _program(self, image: NCPolynomial, scalars):
-        """An image as a program for ``_run``: its reversed words in trie
-        order, each as (k, the class ids after its first k letters, its
-        coefficient as (A, B, d)); z_{i,n} is the id of S_i[n]."""
+    def _program(self, image: NCPolynomial):
+        """An image as a program for ``_run``, interned: its reversed words in
+        trie order, each as (k, the class ids after its first k letters, its
+        coefficient as (A, B, d)); z_{i,n} is the id of S_i[n].  Returns
+        (program id, program); equal programs get one id, whichever
+        generator they are the image of."""
         program = []
         for k, rev, coeff in _trie_order((w[::-1], c) for w, c in image.terms.items()):
             ids = []
@@ -497,8 +545,22 @@ class HallAlgebra:
                 if g.family != "z" or type(i) is not int or not 1 <= i < self.m:
                     raise ValueError(f"no assignment for generator {g}")
                 ids.append(self._id(((i, i + 1, g.shift),)))
-            program.append((k, ids, self._scalar(coeff, scalars)))
-        return program
+            program.append((k, tuple(ids), self._scalar(coeff)))
+        program = tuple(program)
+        return self._programs.setdefault(program, len(self._programs)), program
+
+    def _apply(self, compiled, node):
+        """The walk node of image * x, for a compiled image (program id,
+        program) and the walk node (id, x), memoised for the algebra's
+        lifetime: a node is named by its parent and the program applied, so
+        by the path of program contents from u_0, and relation sets that
+        give one generator different images never share a node."""
+        pid, program = compiled
+        key = (node[0], pid)
+        out = self._walk.get(key)
+        if out is None:
+            out = self._walk[key] = (len(self._walk) + 1, self._run(program, node[1]))
+        return out
 
     def _run(self, program, x: Numerators) -> Numerators:
         """image * x for a compiled image: each word of the image is

@@ -29,8 +29,9 @@ Everything is computed honestly over F_q:
   summands of X onto y; its cone is the sum of the untouched summands and
   the cone of the star with every block 1, as the torus of Aut X x Aut y
   is transitive on the (q-1)^|S| morphisms of a support S.  A summand in
-  no block passes into every cone unchanged, so the census runs on the
-  touched summands and y only; it and each star's cone are memoised
+  no block passes into every cone unchanged, so the caller (the kernel's
+  one pass over the summands of a sweep) hands over only the touched
+  summands; the census on them and y and each star's cone are memoised
   modulo the shift functor.  A decomposable left factor never reaches the
   census: the Hall kernel writes it as an Ext-free word of its summands,
   by the derived Riedtmann formula (Toen 2006) in the directed category
@@ -436,29 +437,25 @@ class DerivedCategory:
     # -- cone counts over torus orbits of support patterns -------------------
 
     def cone_counts(self, xs, y) -> Dict[Tuple, int]:
-        """N_L = #{w in Hom(X, y) : cone(w) = L} for every cone class L, with
-        X and L given by their summands (sorted) and y one summand.
+        """N_C = #{w in Hom(X, y) : cone(w) = C} for every cone class C, with
+        X and C given by their summands (sorted) and y one summand, when
+        every summand X_i of X has Hom(X_i, y) != 0.
 
         Hom between two indecomposables is at most one dimensional in each
         degree, so Hom(X, y) is a sum of one-dimensional blocks, one per
-        summand X_i with Hom(X_i, y) != 0.  A summand in no block passes
-        into every cone unchanged, as X_i[1]; the cones of the touched
-        summands and y are counted by ``_census``, memoised modulo the
-        shift functor, and merged with the untouched ones.
+        summand of X.  A summand in no block would pass into every cone
+        unchanged, as X_i[1], so the caller splits those off and merges
+        them into each C.  The counts (``_census``) are memoised modulo
+        the shift functor.
         """
         c, d, k = y
-        touched, rest = [], []
-        for (a, b, n) in xs:
-            if self._pair_dims(a, b, c, d, k - n) == 0:
-                touched.append((a, b, n))
-            else:
-                rest.append((a, b, n + 1))
-        s = min([k] + [n for (_a, _b, n) in touched])
-        key = (tuple([(a, b, n - s) for (a, b, n) in touched]), (c, d, k - s))
+        s = min([k] + [n for (_a, _b, n) in xs])
+        key = (tuple([(a, b, n - s) for (a, b, n) in xs]), (c, d, k - s))
         census = self._census_cache.get(key)
         if census is None:
             census = self._census_cache[key] = self._census(*key)
-        return {tuple(sorted(rest + [(a, b, n + s) for (a, b, n) in cone])): count
+        # a uniform shift keeps each cone's summands sorted
+        return {tuple([(a, b, n + s) for (a, b, n) in cone]): count
                 for cone, count in census.items()}
 
     def _census(self, xs, y) -> Dict[Tuple, int]:

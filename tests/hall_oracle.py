@@ -36,9 +36,11 @@ in K_0.  The package reads the first two off the one ``dhom_dims`` of a
 sweep and folds q^(n/2) into integer numerators, so none of them has an
 entry point there.
 
-The class table (``class_id``, ``kernel_product``): the package's kernel
-names each isoclass by a small integer id; these map a ``DerivedObject`` to
-its id and a kernel product back to objects.
+The class table (``class_id``, ``translate``, ``is_class_id``,
+``kernel_product``): the package's kernel names each isoclass by an integer
+id that carries its lowest shift; these map a ``DerivedObject`` to its id,
+translate an id through the objects, check that an id names a class of the
+table, and map a kernel product back to objects.
 
 Products from the per-morphism sweep (``morphism_sweep``,
 ``product_from_counts``, ``basis_product``): the package counts the cones
@@ -102,6 +104,20 @@ def class_id(alg, X) -> int:
     return alg._id(X.summands)
 
 
+def translate(alg, i, k) -> int:
+    """The id of the class of id i translated by k, through its object."""
+    return class_id(alg, alg._object(i).shifted(k))
+
+
+def is_class_id(alg, i) -> bool:
+    """i names a class of the package's class table, which gives i back."""
+    try:
+        summands = alg._summands(i)
+    except IndexError:
+        return False
+    return alg._id(summands) == i
+
+
 def a_value(alg, Z) -> Fraction:
     """a(Z) = |Aut Z| {Z,Z} as a Fraction, from the package's memo."""
     aut, e = alg._a(class_id(alg, Z))
@@ -117,7 +133,7 @@ def kernel_product(alg, X, Y):
     d, terms = alg._basis_product(class_id(alg, X), class_id(alg, Y))
     out = {}
     for i, a, b in terms:
-        L = DerivedObject(alg._summands[i])
+        L = alg._object(i)
         c = a_value(alg, L) / (d * a_value(alg, Y))
         out[L] = QuadraticScalar(alg.q, a * c, b * c)
     return out

@@ -34,6 +34,20 @@ def test_negative_shift_window_is_accepted(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-quiver", "--m", "3", "--shifts", "3000000000..3000000001", "--q", "2"),
+    ("verify-disk", "--m", "4", "--h", "1,0,1,0", "--shifts", "-3000000001..-3000000000",
+     "--q", "3"),
+])
+def test_shifts_beyond_32_bits_pass(capsys, argv):
+    """Class ids carry their lowest shift, with no bound on it: windows
+    beyond +-2^31 verify like any other."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "pass"
+    assert all(r["failed"] == 0 and r["total"] > 0 for r in payload["reports"])
+
+
 def test_json_output_schema(capsys):
     code, out, _ = run(capsys, "verify-quiver", "--m", "2", "--shifts", "0..1",
                        "--q", "2", "--format", "json")

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hall_oracle
-from diskhall.freealg import Generator, NCPolynomial, egen, q_bracket, zgen
+from diskhall.freealg import Generator, NCPolynomial, Relation, egen, q_bracket, zgen
 from diskhall.hall import HallAlgebra, HallElement
-from diskhall.presentation import (SELF_EXT, chord_skein_set, cyclic_family,
+from diskhall.presentation import (SELF_EXT, RelationSet, chord_skein_set, cyclic_family,
                                    local_skein_relations, minimal_disk_relations,
                                    naive_presentation, quiver_relations)
 from diskhall.repq import DerivedObject
@@ -71,10 +71,9 @@ def assert_cache_reduced(alg):
     """Every cached product is keyed by a pair of class ids and reduced, and
     names its classes by id."""
     assert alg._product_cache
-    classes = range(len(alg._summands))
     for (x, y), (d, terms) in alg._product_cache.items():
-        assert x in classes and y in classes
-        assert all(L in classes for L, _a, _b in terms)
+        assert hall_oracle.is_class_id(alg, x) and hall_oracle.is_class_id(alg, y)
+        assert all(hall_oracle.is_class_id(alg, L) for L, _a, _b in terms)
         assert is_reduced(d, [v for _L, a, b in terms for v in (a, b)])
 
 
@@ -342,3 +341,48 @@ def test_each_image_is_compiled_once(monkeypatch):
     assert len(expanded) == len(set(expanded)) == len(compiled) == len(set(occurrences))
     assert len(occurrences) > 2 * len(compiled)
     assert values == hall_oracle.evaluate_expanded(alg, polys, rs.expand)
+
+
+def set_values(alg, rs):
+    return alg.evaluate_many([p for r in rs.relations for p in (r.lhs, r.rhs)], rs.expand)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_walk_memo_is_keyed_by_image_not_by_symbol(q):
+    """The walk memo lives on the algebra, across ``evaluate_many`` calls.
+    Two relation sets with the same relations give E1 and E2 different
+    images; on one algebra, in either order, each set's values are its
+    values on a fresh algebra.  A memo keyed by the generator symbols
+    would hand the second set the first set's prefixes."""
+    E1, E2 = egen(1, 0), egen(2, 0)
+    relations = (Relation("r1", E1 * E2 * E1, E2.scale(V)),
+                 Relation("r2", E1 * E1 + E2, E2 * E1))
+    images = [{1: zgen(1, 0), 2: zgen(2, 0)},
+              {1: zgen(2, 0) * zgen(1, 0), 2: zgen(1, 1)}]
+    sets = [RelationSet(f"images-{i}", relations, 3, lambda g, img=img: img[g.index])
+            for i, img in enumerate(images)]
+    fresh = [set_values(HallAlgebra(3, q), rs) for rs in sets]
+    assert fresh[0] != fresh[1]
+    for order in ((0, 1), (1, 0)):
+        alg = HallAlgebra(3, q)
+        for i in order:
+            assert set_values(alg, sets[i]) == fresh[i], order
+
+
+def test_cyclic_family_reuses_the_minimal_walk():
+    """A cyclic family rotates the minimal presentation's relations, so on
+    the minimal set's algebra it applies fewer new images than on a fresh
+    one, and a set evaluated again applies none."""
+    disk = MarkedDisk(FoliationData(5, (1, 0, 1, 0, 1)))
+    minimal, family = minimal_disk_relations(disk, (0, 1)), cyclic_family(disk, 1)
+    alone = HallAlgebra(5, 2)
+    expected = set_values(alone, family)
+    alg = HallAlgebra(5, 2)
+    set_values(alg, minimal)
+    before = len(alg._walk)
+    assert set_values(alg, family) == expected
+    assert len(alg._walk) - before < len(alone._walk)
+    before = len(alg._walk)
+    set_values(alg, family)
+    set_values(alg, minimal)
+    assert len(alg._walk) == before

@@ -8,7 +8,8 @@ small cases: products with dim X + dim Y <= 3 and objects of total dimension
 autoequivalence).  The product cache is checked on pairs translated by -2
 and +3, the a(Z) memo on objects shifted by -3..3, and the support-census memo
 of ``cone_counts`` on pairs translated by -3..3, and the kernel's class
-ids and their translates on every object of dimension <= 3, m <= 5; the
+ids and their translates on every object of dimension <= 3, m <= 5, at
+small shifts and at shifts beyond 2^32; the
 closed-form table of summand pairs against their Hom complex, and the
 graded Hom dims summed from it, and the maps ``enumerate_dhoms`` lists,
 against the Hom complex of the whole objects.  ``identify``, which
@@ -72,10 +73,14 @@ def lowest_shift(*objs):
 
 
 def cone_counts(cat, X, Y):
-    """``cone_counts``, which works on summand tuples onto one summand, on
-    objects."""
-    (y,) = Y.summands
-    return {DerivedObject(L): n for L, n in cat.cone_counts(X.summands, y).items()}
+    """``cone_counts``, which works on summand tuples with a Hom block onto
+    one summand, on objects: the summands of X with no block pass into
+    every cone as X_i[1], as in the kernel's sweep."""
+    ((c, d, k),) = Y.summands
+    touched = tuple(s for s in X.summands if cat._pair_dims(*s[:2], c, d, k - s[2]) == 0)
+    rest = [(a, b, n + 1) for (a, b, n) in X.summands if (a, b, n) not in touched]
+    return {DerivedObject.of(rest + list(L)): n
+            for L, n in cat.cone_counts(touched, (c, d, k)).items()}
 
 
 def check_products(q, m, shift):
@@ -106,7 +111,7 @@ def check_products(q, m, shift):
         # u_Z = a(Z)[Z], scaled to [L]: at a square q, B is 0
         halves = {}
         for i, a, b in terms:
-            L = DerivedObject(alg._summands[i])
+            L = alg._object(i)
             scale = hall_oracle.a_value(alg, L) / (d * hall_oracle.a_value(alg, Y))
             halves[L] = (a * scale, b * scale)
         for L, n in counts.items():
@@ -290,8 +295,8 @@ def letters_only(monkeypatch):
     sweep, seen = HallAlgebra._sweep, []
 
     def checked(self, x, y):
-        assert len(self._summands[x]) == 1, self._summands[x]
-        seen.append(self._summands[x])
+        assert len(self._summands(x)) == 1, self._summands(x)
+        seen.append(self._summands(x))
         return sweep(self, x, y)
 
     monkeypatch.setattr(HallAlgebra, "_sweep", checked)
@@ -492,21 +497,25 @@ def test_a_memo_is_shift_invariant(q):
 
 
 def test_class_table_round_trips():
-    """The kernel names each class by an id: the table gives back its
-    summands and lowest shift, and ``_shift`` is the id of the translate,
-    undone by the opposite shift; for 0 and every object of dimension <= 3,
-    m <= 5."""
+    """The kernel names each class by an id, s * 2^32 + base with s its
+    lowest shift: the table gives back its summands, and translating a
+    class by k adds k * 2^32 to its id, undone by the opposite shift, at
+    small k and at |k| >= 2^32; the zero class is id 0 at every shift.  For
+    0 and every object of dimension <= 3, m <= 5."""
+    step = 1 << 32
     for m in range(2, 6):
         alg = HallAlgebra(m, 2)
         for Z in [DerivedObject.zero()] + objects(m, 3):
             s = Z.summands
             i = alg._id(s)
-            assert alg._summands[i] == s and alg._id(s) == i
-            assert alg._low[i] == (lowest_shift(Z) if s else None)
-            for k in range(-3, 4):
-                j = alg._shift(i, k)
-                assert j == alg._id(Z.shifted(k).summands), (Z, k)
-                assert alg._shift(j, -k) == i, (Z, k)
+            assert alg._summands(i) == s and alg._id(s) == i
+            assert i == (lowest_shift(Z) * step + i % step if s else 0)
+            assert 0 < i % step < step if s else i == 0
+            for k in [-3, -2, -1, 0, 1, 2, 3, step, -step - 1, 3 * 10 ** 9, -(3 * 10 ** 9)]:
+                j = hall_oracle.translate(alg, i, k)
+                assert j == (i + k * step if s else 0), (Z, k)
+                assert alg._summands(j) == Z.shifted(k).summands, (Z, k)
+                assert hall_oracle.translate(alg, j, -k) == i, (Z, k)
 
 
 @pytest.mark.parametrize("k", [-2, 3])
@@ -514,21 +523,22 @@ def test_class_table_round_trips():
 def test_translated_product_is_shifted_back(q, m, k):
     """[X[k]]*u_{Y[k]}, swept through the pair at lowest shift 0, equals the
     shift-0 product of a separate algebra with every class shifted by k;
-    and in one algebra its terms are the ``_shift`` of the shift-0 terms."""
+    and in one algebra its terms are the translates of the shift-0 terms."""
     alg, base = HallAlgebra(m, q), HallAlgebra(m, q)
     pairs = 0
     for X, Y in itertools.product(objects(m, 2), repeat=2):
         if lowest_shift(X, Y) != 0:
             continue
         x, y = hall_oracle.class_id(alg, X), hall_oracle.class_id(alg, Y)
-        d, terms = alg._basis_product(alg._shift(x, k), alg._shift(y, k))
+        d, terms = alg._basis_product(hall_oracle.translate(alg, x, k),
+                                      hall_oracle.translate(alg, y, k))
         e, base_terms = base._basis_product(hall_oracle.class_id(base, X),
                                             hall_oracle.class_id(base, Y))
         assert d == e
-        assert [(alg._summands[L], a, b) for L, a, b in terms] == \
-            [(DerivedObject(base._summands[L]).shifted(k).summands, a, b)
+        assert [(alg._summands(L), a, b) for L, a, b in terms] == \
+            [(base._object(L).shifted(k).summands, a, b)
              for L, a, b in base_terms], (X, Y)
-        assert terms == tuple((alg._shift(L, k), a, b)
+        assert terms == tuple((hall_oracle.translate(alg, L, k), a, b)
                               for L, a, b in alg._basis_product(x, y)[1])
         pairs += 1
     assert pairs > 50
