@@ -17,7 +17,7 @@ import functools
 from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple, Union
 
-from .scalar import ONE, V, RationalFunctionV
+from .scalar import ONE, V, Arithmetic, Frozen, RationalFunctionV
 
 ScalarLike = Union[RationalFunctionV, int, Fraction]
 
@@ -28,24 +28,21 @@ def _as_scalar(c: ScalarLike) -> RationalFunctionV:
     return RationalFunctionV.from_rational(c)
 
 
-class Value:
-    """An immutable value whose fields are the names in its class's ``__slots__``.
+class Value(Frozen):
+    """A ``Frozen`` value whose fields are the names in its class's ``__slots__``.
 
-    A subclass sets each field once, in ``__init__``, with
-    ``object.__setattr__``.  It is equal to an object of its own class with
-    equal fields (never to a tuple) and hashes as the tuple of its fields.
-    Written by hand, not generated by a class decorator: every CLI run is a
-    fresh process, and that module would cost each one about 13 ms of
-    imports and generated code.
+    A subclass sets each field once, in ``__init__``.  It is equal to an
+    object of its own class with equal fields (never to a tuple) and hashes
+    as the tuple of its fields.  Like the bases ``Frozen``, ``Arithmetic``,
+    ``Field`` and ``Combination``, it is written by hand, not generated by a
+    class decorator: every CLI run is a fresh process, and that module
+    would cost each one about 13 ms of imports and generated code.
     """
 
     __slots__ = ()
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -61,7 +58,7 @@ class Value:
         return f"{type(self).__name__}({fields})"
 
 
-class Generator:
+class Generator(Frozen):
     """A shifted abstract generator, e.g. z_{i,n} or E_{i,n}.
 
     ``family`` names the alphabet ("z", "E", "F", "G", ...), ``index`` is
@@ -78,9 +75,6 @@ class Generator:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "_hash", hash((family, index, shift)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         if other.__class__ is not Generator:
@@ -112,7 +106,41 @@ def _word_key(w: Word):
     return (len(w), tuple(g.sort_key() for g in w))
 
 
-class NCPolynomial:
+class Combination(Arithmetic):
+    """A finite linear combination: ``terms`` maps each basis element to its
+    coefficient, never zero.  A subclass supplies ``_coerce``, ``_new`` (an
+    element of its own with the given terms) and ``_scalar`` (a coefficient
+    from a scalar-like value).  There is no division."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out[key] + c if key in out else c
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def scale(self, c):
+        c = self._scalar(c)
+        return self._new({key: coeff * c for key, coeff in self.terms.items()})
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
+
+
+class NCPolynomial(Combination):
     """A finite Q(v)-linear combination of words of generators."""
 
     __slots__ = ("terms",)
@@ -123,9 +151,6 @@ class NCPolynomial:
             if not c.is_zero():
                 clean[tuple(w)] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -151,9 +176,6 @@ class NCPolynomial:
 
     # -- queries ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def generators(self):
         seen = set()
         for w in self.terms:
@@ -165,6 +187,11 @@ class NCPolynomial:
 
     # -- arithmetic ---------------------------------------------------------
 
+    _scalar = staticmethod(_as_scalar)
+
+    def _new(self, terms):
+        return NCPolynomial(terms)
+
     def _coerce(self, other):
         if isinstance(other, NCPolynomial):
             return other
@@ -173,29 +200,6 @@ class NCPolynomial:
         if isinstance(other, (RationalFunctionV, int, Fraction)):
             return NCPolynomial.scalar(other)
         return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out[w] + c if w in out else c
-        return NCPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NCPolynomial({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -214,16 +218,6 @@ class NCPolynomial:
         if other is NotImplemented:
             return NotImplemented
         return other * self
-
-    def scale(self, c: ScalarLike) -> "NCPolynomial":
-        c = _as_scalar(c)
-        return NCPolynomial({w: coeff * c for w, coeff in self.terms.items()})
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

@@ -108,12 +108,12 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .freealg import Generator, NCPolynomial
+from .freealg import Combination, Generator, NCPolynomial
 from .repq import DerivedCategory, DerivedObject
 from .scalar import QuadraticScalar, RationalFunctionV, evaluate_at
 
 
-class HallElement:
+class HallElement(Combination):
     """A finite Q(sqrt(q))-linear combination of derived objects."""
 
     __slots__ = ("q", "terms")
@@ -125,9 +125,6 @@ class HallElement:
                 clean[obj] = c
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
 
     @staticmethod
     def zero(q: int) -> "HallElement":
@@ -143,9 +140,6 @@ class HallElement:
     def unit(q: int) -> "HallElement":
         return HallElement.basis(q, DerivedObject.zero())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _coerce(self, other):
         if isinstance(other, HallElement):
             if other.q != self.q:
@@ -155,39 +149,11 @@ class HallElement:
             return HallElement.basis(self.q, DerivedObject.zero(), other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for obj, c in other.terms.items():
-            out[obj] = out[obj] + c if obj in out else c
-        return HallElement(self.q, out)
+    def _new(self, terms):
+        return HallElement(self.q, terms)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HallElement(self.q, {o: -c for o, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c) -> "HallElement":
-        if not isinstance(c, QuadraticScalar):
-            c = QuadraticScalar(self.q, c)
-        return HallElement(self.q, {o: cc * c for o, cc in self.terms.items()})
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+    def _scalar(self, c):
+        return c if isinstance(c, QuadraticScalar) else QuadraticScalar(self.q, c)
 
     def __hash__(self):
         return hash((self.q, frozenset(self.terms.items())))

@@ -182,7 +182,7 @@ def s_relations(m: int, window: Window = DEFAULT_WINDOW) -> RelationSet:
 
 def tau_angle(disk: MarkedDisk, i: int, k: int) -> int:
     """The twisted index tau^i<k> = sum_{j=1}^{k-1} (1 - h(i+j))."""
-    return angle(k, disk.foliation.rotated(i))
+    return span(i + 1, i + k, disk.foliation)
 
 
 def _E(disk: MarkedDisk, i: int, n: int) -> NCPolynomial:

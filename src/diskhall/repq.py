@@ -60,7 +60,7 @@ import itertools
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalar import prime_power_decompose
+from .scalar import Frozen, prime_power_decompose
 
 # ---------------------------------------------------------------------------
 # finite fields
@@ -255,7 +255,7 @@ def _intervals(m: int, rank) -> Tuple[Tuple[int, int], ...]:
 # derived objects
 # ---------------------------------------------------------------------------
 
-class DerivedObject:
+class DerivedObject(Frozen):
     """A multiset of shifted interval modules (a, b, n), canonically sorted.
 
     The empty multiset is the zero object.  Immutable and hashed once, as
@@ -267,9 +267,6 @@ class DerivedObject:
     def __init__(self, summands: Tuple[Tuple[int, int, int], ...]):
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "_hash", hash((summands,)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
 
     def __eq__(self, other):
         if other.__class__ is not DerivedObject:

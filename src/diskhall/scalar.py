@@ -11,6 +11,10 @@ Two scalar domains are provided:
   represented exactly as a pair a + b*sqrt(q).  When q is a perfect
   square the sqrt(q) part is folded into the rational part.
 
+Both are ``Field``s: immutable (``Frozen``), with ``-``, the reflected
+``+`` and ``-`` (``Arithmetic``) and ``/`` written once, from the ``+``,
+negation, ``*``, inverse and coercion that each class defines.
+
 No floating point is used anywhere.
 """
 
@@ -29,6 +33,52 @@ _ONE = Fraction(1)
 #: (a, b) -> a + b and a * b for RationalFunctionV operands, process-wide
 _SUMS: dict = {}
 _PRODUCTS: dict = {}
+
+
+class Frozen:
+    """A value whose fields are set once, in ``__init__``, with
+    ``object.__setattr__``; assigning to it afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError("immutable")
+
+
+class Arithmetic(Frozen):
+    """``-`` and the reflected ``+`` and ``-``, from the ``__add__``,
+    ``__neg__`` and ``_coerce`` of a subclass; ``_coerce`` turns an operand
+    into the subclass, or returns NotImplemented."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+
+class Field(Arithmetic):
+    """``/`` and its reflection, from the ``__mul__``, ``inverse`` and
+    ``_coerce`` of a subclass."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +147,7 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-class RationalFunctionV:
+class RationalFunctionV(Field):
     """An element of Q(v) in canonical form.
 
     Invariant: the denominator is monic and coprime to the numerator;
@@ -134,9 +184,6 @@ class RationalFunctionV:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", hash((num, den)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -180,19 +227,8 @@ class RationalFunctionV:
             out = _SUMS[key] = RationalFunctionV(num, _pmul(self.den, other.den))
         return out
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalFunctionV(_pneg(self.num), self.den, _canonical=True)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -211,15 +247,6 @@ class RationalFunctionV:
         if not self.num:
             raise ZeroDivisionError("division by zero")
         return RationalFunctionV(self.den, self.num)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, n: int):
         if n < 0:
@@ -318,7 +345,7 @@ def is_prime_power(q: int) -> bool:
     return prime_power_decompose(q) is not None
 
 
-class QuadraticScalar:
+class QuadraticScalar(Field):
     """An exact element a + b*sqrt(q) of Q(sqrt(q)) at a fixed prime power q."""
 
     __slots__ = ("q", "a", "b")
@@ -335,9 +362,6 @@ class QuadraticScalar:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
 
     def _make(self, a: Fraction, b: Fraction) -> "QuadraticScalar":
         """A result of arithmetic on validated operands, built without
@@ -367,19 +391,8 @@ class QuadraticScalar:
             return NotImplemented
         return self._make(self.a + other.a, self.b + other.b)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._make(-self.a, -self.b)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -395,15 +408,6 @@ class QuadraticScalar:
         if norm == 0:  # a^2 = b^2 q with q not a perfect square forces a = b = 0
             raise ZeroDivisionError("division by zero")
         return QuadraticScalar(self.q, self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

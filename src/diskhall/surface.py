@@ -48,16 +48,12 @@ class FoliationData(Value):
         """Weight at cyclic index i (1-based, any integer accepted)."""
         return self.h[(i - 1) % self.m]
 
-    def rotated(self, i: int) -> "FoliationData":
-        """The foliation j -> h(i + j), i.e. read starting after interval i."""
-        return FoliationData(self.m, tuple(self.at(i + j) for j in range(1, self.m + 1)))
-
 
 def angle(k: int, e: FoliationData) -> int:
     """<k> = sum_{j=1}^{k-1} (1 - e(j)); angle(1) = 0."""
     if not 1 <= k <= e.m:
         raise ValueError(f"index {k} out of range 1..{e.m}")
-    return sum(1 - e.at(j) for j in range(1, k))
+    return span(1, k, e)
 
 
 def span(j: int, k: int, e: FoliationData) -> int:

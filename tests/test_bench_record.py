@@ -4,6 +4,8 @@ smoke step runs the whole recorder once."""
 import importlib.util
 import os
 
+import pytest
+
 spec = importlib.util.spec_from_file_location(
     "bench_record", os.path.join(os.path.dirname(__file__), "..", "tools", "bench_record.py"))
 bench_record = importlib.util.module_from_spec(spec)
@@ -87,3 +89,18 @@ def test_both_sides_run_from_fresh_exports(tmp_path, monkeypatch):
     assert str(tmp_path) not in (parent, change) and parent != change
     assert parent_files == [".gitignore", "a.py"]
     assert change_files == [".gitignore", "a.py", "b.py"]
+
+
+def test_outside_a_git_checkout_one_line_and_exit_2(tmp_path, monkeypatch, capsys):
+    """In a directory that is no git checkout (such as a ``git archive``
+    export) the recorder names the failed git call in one line, exits 2
+    and writes nothing."""
+    monkeypatch.setattr(bench_record, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_record, "WORK", str(tmp_path / ".perfbench"))
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record.main(["--smoke"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bench_record: git rev-parse HEAD failed: ")
+    assert list(tmp_path.iterdir()) == []

@@ -16,6 +16,7 @@ from diskhall.repq import DerivedCategory, DerivedObject, FiniteField, mat_rank,
 from field_oracle import mat_mul
 from rep_oracle import (QuiverRep, barcode, direct_sum, ext1_space, hom_dim, interval_rep,
                         zero_rep)
+from star_cone import star_cone
 
 
 # -- field axioms (exhaustive: the fields are tiny) --------------------------
@@ -200,6 +201,30 @@ def test_cone_of_zero_and_identity():
     # zero map has cone S + S[1]; the identity has cone 0
     assert "0" in cones
     assert any("M[1,2) + M[1,2)[1]" == c for c in cones)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_star_cone_closed_form_equals_the_field_cone(q):
+    """The closed form of ``star_cone`` against the F_q cone that ``_census``
+    computes, on every star at m <= 6 with 1 to 3 sources, repeats allowed,
+    put at lowest shift 0 as ``_census`` puts it."""
+    checked = 0
+    for m in range(2, 7):
+        cat = DerivedCategory(m, q)
+        for c, d in itertools.combinations(range(1, m + 1), 2):
+            sources = ([(a, b, 1) for a in range(c, d) for b in range(d, m + 1)]
+                       + [(a, b, 0) for a in range(1, c) for b in range(c, d)])
+            for k in (1, 2, 3):
+                for S in itertools.combinations_with_replacement(sources, k):
+                    s = min(n for _a, _b, n in S)
+                    S = tuple([(a, b, n - s) for a, b, n in S])
+                    y = (c, d, 1 - s)
+                    edges = [(i, 0, 1) for i in range(len(S))]
+                    cone = cat.cone(cat._block_morphism(DerivedObject(S), DerivedObject((y,)),
+                                                        edges))
+                    assert star_cone(S, y) == cone.summands, (m, S, y)
+                    checked += 1
+    assert checked == 2730
 
 
 def test_aut_counts():

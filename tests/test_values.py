@@ -2,7 +2,9 @@
 
 Each class is equal to another of its own class with equal fields, hashes as
 the tuple of its fields, refuses attribute assignment, is never equal to the
-bare tuple of its fields, and validates its fields with fixed messages.
+bare tuple of its fields, and validates its fields with fixed messages.  The
+arithmetic values take their reflected operators, division and refused
+assignment from the bases in ``scalar`` and ``freealg``.
 """
 
 import re
@@ -10,8 +12,10 @@ import re
 import pytest
 
 from diskhall.freealg import Generator, NCPolynomial, Relation, zgen
+from diskhall.hall import HallElement
 from diskhall.presentation import RelationSet
 from diskhall.repq import DerivedObject
+from diskhall.scalar import ONE, V, QuadraticScalar
 from diskhall.surface import (FoliationData, GluingSpec, GradedChord, MarkedDisk,
                               SurfaceConfig)
 
@@ -133,3 +137,28 @@ def test_defaults():
     assert GradedChord(1, 2).shift == 0
     rs = RelationSet("r", ())
     assert rs.oracle_m is None and rs.expand is None
+
+
+def test_arithmetic_bases():
+    """The reflected operators, division and the refused assignment that the
+    fields (Q(v), Q(sqrt q)) and the combinations (polynomials, Hall
+    elements) take from their bases; a combination has no division, and
+    Hall elements at different q do not mix."""
+    root2 = QuadraticScalar(2, 0, 1)
+    x, h = zgen(1, 0), HallElement.basis(2, DerivedObject.simple(1), root2)
+    assert (1 - V) + V == 1 + 0 * V == ONE and V - 1 == -(1 - V)
+    assert 1 / V == V.inverse() and (V + 1) / V == 1 + 1 / V
+    assert 1 / root2 == root2 / 2 and 2 - root2 == -(root2 - 2)
+    assert 1 - x == -(x - 1) and (2 + x) - x == NCPolynomial.scalar(2)
+    assert 1 - h == -(h - 1) and h.scale(root2) - 2 == HallElement.basis(
+        2, DerivedObject.simple(1), 2) - 2
+    for value, name in ((V, "num"), (root2, "a"), (x, "terms"), (h, "q")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, getattr(value, name))
+    for value in (x, h):
+        with pytest.raises(TypeError):
+            value / 2
+        with pytest.raises(TypeError):
+            2 / value
+    with pytest.raises(ValueError):
+        h + HallElement.unit(3)

@@ -26,7 +26,9 @@ and ``change_wins``, the number of pairs in which the change reads better
 under ``failures`` and its pair is left out of the metrics.
 
 ``--smoke`` runs one pair of the first workload at ``--seconds 1``, writes
-into a temporary directory and checks the file it wrote.
+into a temporary directory and checks the file it wrote.  A failed git
+command, as outside a git checkout, ends the run with exit code 2 and one
+line that names it.
 """
 
 from __future__ import annotations
@@ -49,9 +51,16 @@ PAIRS = 10
 SMOKE_SECONDS = 1.0
 
 
-def git(*args: str, env=None) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+def git(*args: str, env=None, raw=False):
+    """The output of ``git *args`` run in ``ROOT``: stripped text, or bytes
+    when ``raw``.  A failed call (say, outside a git checkout) ends the
+    process with exit code 2 and one line naming the command and its error."""
+    proc = subprocess.run(["git", *args], cwd=ROOT, env=env, capture_output=True)
+    if proc.returncode:
+        err = " ".join(proc.stderr.decode(errors="replace").split())
+        print(f"bench_record: git {' '.join(args)} failed: {err}", file=sys.stderr)
+        raise SystemExit(2)
+    return proc.stdout if raw else proc.stdout.decode().strip()
 
 
 def working_tree() -> str:
@@ -65,8 +74,7 @@ def working_tree() -> str:
 
 def export(rev: str, dest: str) -> None:
     """The tree of ``rev``, a commit or a tree, under ``dest``."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
-                         capture_output=True).stdout
+    tar = git("archive", "--format=tar", rev, raw=True)
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest)  # this repository's own tree
 
@@ -167,6 +175,7 @@ def main(argv=None) -> int:
     ap.add_argument("--tag")
     ap.add_argument("--smoke", action="store_true")
     args = ap.parse_args(argv)
+    git("rev-parse", "HEAD")  # outside a git checkout there is no parent: stop first
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     metrics = {m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]}
